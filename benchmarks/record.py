@@ -14,8 +14,8 @@ Measures, in one sitting:
 * the fig6-small all-generation restore from the DDFS-Like layout
   through the default reader and the FAA + read-ahead reader (written
   to ``BENCH_restore.json``), and
-* byte-level Gear CDC over a fixed random buffer — the skip-then-scan
-  fast path vs the exact 64-pass reference sweep (written to
+* byte-level Gear CDC over a fixed random buffer — the narrow-lane
+  default path vs the exact 64-pass reference sweep (written to
   ``BENCH_chunking.json`` via ``--chunking-out``), and
 * the sharded fingerprint index — 1-shard byte-identity plus routed
   N-shard batched-lookup throughput (written to ``BENCH_shard.json``

@@ -11,7 +11,7 @@ does change — how long the simulator itself takes to run. It measures
   (the most fragmented layout) through the default reader and the
   FAA + read-ahead reader, and
 * byte-level CDC over a fixed random buffer through the Gear
-  skip-then-scan fast path and the exact 64-pass reference sweep (plus
+  narrow-lane default path and the exact 64-pass reference sweep (plus
   the batch fingerprint fold),
 
 and compares each against a committed baseline so regressions fail
@@ -76,9 +76,9 @@ DRIFT_EPSILON = 0.02
 #: a de-vectorized ingest path is ~8x)
 REGRESSION_FACTOR = 2.0
 
-#: the skip-then-scan chunking path must stay at least this many times
+#: the narrow-lane chunking path must stay at least this many times
 #: faster (MB/s) than the committed exact-path baseline — the point of
-#: the fast path; falling below it means the skip/scan structure broke
+#: the fast path; falling below it means the lane evaluation broke
 CHUNKING_SPEEDUP_FLOOR = 5.0
 
 
@@ -246,9 +246,9 @@ def measure_chunking(
     data: bytes, *, exact: bool = False, repeats: int = 3
 ) -> Dict:
     """Best-of-``repeats`` wall-clock seconds cutting ``data`` with the
-    Gear chunker (skip-then-scan fast path, or the exact 64-pass
-    reference sweep when ``exact``), plus the cut count and the fast
-    path's scanned-byte fraction."""
+    Gear chunker (narrow-lane default path, or the exact 64-pass
+    reference sweep when ``exact``), plus the cut count and the
+    scanned-byte fraction."""
     from repro.chunking.gear import GearChunker
 
     chunker = GearChunker(exact=exact)
@@ -334,10 +334,11 @@ def check_chunking_regression(
     """None if the chunking measurement holds both gates, else a
     human-readable failure message.
 
-    Gate 1 (regression): fresh skip-then-scan time within ``factor`` of
-    the committed skip-then-scan time. Gate 2 (structure): fresh
-    skip-then-scan MB/s at least ``speedup_floor`` times the *committed*
-    exact-path MB/s — the fast path's reason to exist.
+    Gate 1 (regression): fresh narrow-lane time within ``factor`` of
+    the committed fast-path time (the ``seqcdc_*`` keys, named for the
+    path they first recorded). Gate 2 (structure): fresh narrow-lane
+    MB/s at least ``speedup_floor`` times the *committed* exact-path
+    MB/s — the fast path's reason to exist.
     """
     rec = baseline.get("chunking", baseline)
     base = rec.get("seqcdc_seconds")
@@ -352,7 +353,7 @@ def check_chunking_regression(
         rate = result["seqcdc_mb_per_s"]
         if rate < speedup_floor * exact_rate:
             return (
-                f"skip-then-scan chunking at {rate:.1f} MB/s is below "
+                f"narrow-lane chunking at {rate:.1f} MB/s is below "
                 f"{speedup_floor:.0f}x the committed exact-path rate "
                 f"({exact_rate:.1f} MB/s)"
             )

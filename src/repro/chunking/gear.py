@@ -2,59 +2,57 @@
 
 The Gear rolling hash is ``h_i = (h_{i-1} << 1) + G[b_i]  (mod 2^64)``
 with a random 256-entry gear table ``G``; a boundary is declared where
-``h_i & mask == 0`` (mask with ``log2(avg_size)`` bits), subject to
-min/max chunk-size clamps.
+``h_i & mask == 0`` (mask with ``b = log2(avg_size)`` low bits), subject
+to min/max chunk-size clamps.
 
 Because the left-shift discards bits past 64, the hash at position ``i``
 depends only on the trailing 64 bytes:
 
     h_i = sum_{k=0..63} G[b_{i-k}] << k   (mod 2^64)
 
-Two evaluation strategies share that identity:
+The cut test only reads ``h_i mod 2^b``. Mod ``2^b`` a term shifted by
+``k >= b`` vanishes and only the low ``b`` bits of each table entry
+survive, so
 
-* **Exact reference** (``exact=True``): evaluate the lag sum literally,
-  one vectorized pass per lag (64 passes), at *every* byte position,
-  then clamp candidates. This is the original path — transparent,
-  definitionally obvious, and the baseline the chunking bench gates
-  against. It now runs block-wise (carrying ``WARMUP`` context bytes
-  between blocks) so temporaries stay bounded on GB-scale buffers.
-* **Skip-then-scan** (default): the SeqCDC idiom. After each cut, the
-  next ``min_size - 1`` positions can never host a boundary, so they are
-  skipped entirely; Gear hashes are evaluated only inside the scan
-  window ``[cut + min_size, cut + max_size)``, in sub-blocks with early
-  exit at the first masked hit. Each scan window is seeded with a
-  63-byte warm-up prefix, which by the trailing-64-bytes identity makes
-  the windowed hashes **bit-identical** to the exact sweep — so the two
-  paths produce identical cut sequences (property-tested), while the
-  fast path hashes roughly ``(avg - min)/avg`` of the input. Sub-block
-  evaluation uses shift-add doubling (6 passes instead of 64): lag sums
-  of length ``2^(k+1)`` are two shifted lag sums of length ``2^k``, and
-  both composition orders are exact mod 2^64.
+    h_i mod 2^b = sum_{k=0..b-1} (G[b_{i-k}] mod 2^b) << k   (mod 2^b)
 
-Candidate clamping (min/max enforcement) is shared with the Rabin
-chunker via :func:`repro.chunking.select.select_cuts`, which replaces
-the former per-cut ``searchsorted`` walk with one vectorized
-successor-pointer pass.
+Both paths walk the input in ``hash_block``-sized blocks, each seeded
+with the context bytes its first position depends on, collect every
+masked hit, and clamp once with the shared
+:func:`repro.chunking.select.select_cuts`. Only the block evaluator
+differs:
+
+* **Exact reference** (``exact=True``): the full 64-bit lag sum,
+  one vectorized pass per lag (64 passes), with ``WARMUP`` = 63 context
+  bytes per block — transparent, definitionally obvious, and the oracle
+  the default path is twin-run tested against.
+* **Narrow lanes** (default): the ``b``-bit sum above in the smallest
+  unsigned lane that holds ``b`` bits (uint16 at the default 8 KiB
+  average), from a gear table narrowed once at construction, with
+  ``b - 1`` context bytes per block. Shift-add doubling composes the
+  ``b`` lags in ``ceil(log2 b)`` passes: after the pass with shift
+  ``s`` every position holds the lag sum over its trailing ``2s``
+  bytes, and shifts and wrapping adds are exact mod ``2^lane``. The
+  low ``b`` bits therefore equal the exact hash's, so both paths cut
+  **bit-identically** (property-tested).
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from repro._util import KIB, MIB, check_positive, rng_from
+from repro._util import KIB, check_positive, rng_from
 from repro.chunking.base import Chunker
 from repro.chunking.select import select_cuts
 
 _U64 = np.uint64
 
-#: the Gear hash at position i depends on bytes (i-63 .. i]; scan blocks
-#: carry this many context bytes so windowed hashes equal the full sweep
+#: the Gear hash at position i depends on bytes (i-63 .. i]; exact-path
+#: blocks carry this many context bytes so blockwise hashes equal the
+#: full sweep
 WARMUP = 63
-
-#: shift-add doubling schedule: 6 passes compose all 64 lag contributions
-_DOUBLING_SHIFTS = (1, 2, 4, 8, 16, 32)
 
 #: simulated CPU bandwidth for the informational chunking span, matching
 #: ``repro.dedup.base.SegmentCost.cpu_seconds_per_byte`` (1/600e6) so the
@@ -66,20 +64,20 @@ _SIM_CPU_BYTES_PER_SECOND = 600e6
 class ChunkScanStats(NamedTuple):
     """Byte accounting of one ``cut_boundaries`` call.
 
-    ``scan_bytes + skipped_bytes == bytes_in`` exactly; ``warmup_bytes``
-    counts context bytes re-hashed to seed scan windows (zero on the
-    exact path, which hashes every position anyway).
+    Both paths test every position, so ``scan_bytes == bytes_in`` and
+    ``skipped_bytes == 0``; ``warmup_bytes`` counts the context bytes
+    re-hashed to seed each block after the first.
     """
 
     bytes_in: int
     chunks_out: int
     #: positions whose Gear hash was evaluated for boundary testing
     scan_bytes: int
-    #: positions never hashed (min-size skips + early-exit window tails)
+    #: positions never hashed (always zero: no path skips positions)
     skipped_bytes: int
-    #: warm-up context bytes re-hashed to seed scan sub-blocks
+    #: context bytes re-hashed to seed hash blocks
     warmup_bytes: int
-    #: masked-hash hits observed inside scanned regions
+    #: positions whose masked hash is zero (cut candidates before clamping)
     candidates: int
 
 
@@ -114,23 +112,6 @@ def _hashes_64pass(g: np.ndarray) -> np.ndarray:
     return h
 
 
-def _hashes_doubling(h: np.ndarray) -> np.ndarray:
-    """Exact Gear hashes via shift-add doubling, in place on ``h``.
-
-    ``h`` enters holding the per-byte gear values ``G[b_i]`` (a fresh
-    array the caller owns). After pass ``k`` position ``i`` holds the
-    lag sum over ``min(i + 1, 2^(k+1))`` trailing bytes, so six passes
-    reproduce the 64-lag sum bit-for-bit (shifts compose: ``j + s <= 63``
-    for every contribution, and addition wraps identically mod 2^64).
-    """
-    with np.errstate(over="ignore"):
-        for s in _DOUBLING_SHIFTS:
-            if s >= h.size:
-                break
-            h[s:] += h[:-s] << _U64(s)
-    return h
-
-
 class GearChunker(Chunker):
     """Content-defined chunker using the Gear rolling hash.
 
@@ -140,17 +121,13 @@ class GearChunker(Chunker):
         max_size: force a cut at this length if no boundary fired.
         seed: gear-table seed (two chunkers with the same seed cut
             identically — required for dedup to work at all).
-        exact: use the reference exact sweep (hash every position, 64
-            passes) instead of the default skip-then-scan fast path.
-            Both produce bit-identical cut sequences.
-        scan_block: sub-block size in bytes for skip-then-scan window
-            evaluation (default: ``min_size`` clamped to [1 KiB, 32 KiB]
-            — at most ``min_size``, consecutive scan windows never
-            overlap). Smaller blocks hash fewer wasted bytes past the
-            cut; larger blocks amortize per-call overhead. Never affects
-            the cuts.
-        hash_block: block size in bytes for exact-path streaming
-            evaluation (bounds peak temporaries). Never affects the cuts.
+        exact: use the reference 64-bit sweep (64 passes per block)
+            instead of the default narrow-lane evaluation. Both produce
+            bit-identical cut sequences.
+        hash_block: block size in bytes of the streaming walk. Bounds
+            peak temporaries; the default keeps a block's lanes in cache
+            while amortizing per-block call overhead. Never affects the
+            cuts.
 
     After every :meth:`cut_boundaries` call, :attr:`last_stats` holds the
     call's :class:`ChunkScanStats`; when an observability session is
@@ -166,8 +143,7 @@ class GearChunker(Chunker):
         seed: int = 2012,
         *,
         exact: bool = False,
-        scan_block: "int | None" = None,
-        hash_block: int = 4 * MIB,
+        hash_block: int = 64 * KIB,
     ) -> None:
         check_positive("avg_size", avg_size)
         self.avg_size = int(avg_size)
@@ -180,145 +156,97 @@ class GearChunker(Chunker):
             )
         self.seed = int(seed)
         self.exact = bool(exact)
-        if scan_block is None:
-            scan_block = min(max(self.min_size, KIB), 32 * KIB)
-        check_positive("scan_block", scan_block)
-        self.scan_block = int(scan_block)
         check_positive("hash_block", hash_block)
         self.hash_block = int(hash_block)
         self._table = _gear_table(seed)
-        self._mask = _U64(_mask_for_average(self.avg_size))
+        self._mask = _mask_for_average(self.avg_size)
+        self.mask_bits = self._mask.bit_length()
+        # the narrow-lane evaluator's table: the low mask_bits of every
+        # gear entry, in the smallest unsigned lane that holds them
+        lane = next(
+            t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+            if np.iinfo(t).bits >= self.mask_bits
+        )
+        self._lanes = (self._table & _U64(self._mask)).astype(lane)
+        # doubling shifts 1, 2, 4, ... until 2 * last >= mask_bits lags
+        self._shifts = [1 << p for p in range((self.mask_bits - 1).bit_length())]
         self.last_stats: Optional[ChunkScanStats] = None
 
-    # ------------------------------------------------------------------
-    # exact reference path
-    # ------------------------------------------------------------------
-
     def rolling_hashes(self, data: bytes) -> np.ndarray:
-        """Exact Gear hash at every byte position (vectorized).
+        """Exact 64-bit Gear hash at every byte position (vectorized).
 
         Evaluated block-wise with a ``WARMUP``-byte carry between blocks,
         so peak temporaries are bounded by ``hash_block`` regardless of
         input size (the output array itself is necessarily O(n)).
         """
         buf = np.frombuffer(data, dtype=np.uint8)
-        n = buf.size
-        out = np.empty(n, dtype=np.uint64)
-        for start, stop, lo in self._hash_blocks(n):
-            h = self._eval_block(buf, lo, stop)
-            out[start:stop] = h[start - lo :]
+        out = np.empty(buf.size, dtype=np.uint64)
+        for start, stop, lo in self._hash_blocks(buf.size, WARMUP):
+            out[start:stop] = self._eval_block(buf, lo, stop)[start - lo :]
         return out
 
-    def _hash_blocks(self, n: int):
+    def _hash_blocks(self, n: int, warmup: int):
         """(start, stop, warmup_start) triples of the streaming walk."""
         block = self.hash_block
         for start in range(0, n, block):
             stop = min(start + block, n)
-            yield start, stop, max(start - WARMUP, 0)
+            yield start, stop, max(start - warmup, 0)
 
     def _eval_block(self, buf: np.ndarray, lo: int, stop: int) -> np.ndarray:
         """Exact hashes for positions ``[lo, stop)`` (reference 64-pass)."""
         return _hashes_64pass(self._table[buf[lo:stop]])
 
-    def _cut_exact(self, data: bytes) -> Tuple[np.ndarray, ChunkScanStats]:
-        buf = np.frombuffer(data, dtype=np.uint8)
-        n = buf.size
-        mask = self._mask
-        chunks = []
-        warmup = 0
-        for start, stop, lo in self._hash_blocks(n):
-            h = self._eval_block(buf, lo, stop)
-            # candidate cut *after* position i  ->  boundary offset i+1
-            chunks.append(np.flatnonzero((h[start - lo :] & mask) == 0) + start + 1)
-            warmup += start - lo
-        candidates = (
-            np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-        )
-        cuts = select_cuts(candidates, n, self.min_size, self.max_size)
-        stats = ChunkScanStats(
-            bytes_in=n,
-            chunks_out=len(cuts) - 1,
-            scan_bytes=n,
-            skipped_bytes=0,
-            warmup_bytes=warmup,
-            candidates=int(candidates.size),
-        )
-        return cuts, stats
+    def _lane_evaluator(self) -> Callable[[np.ndarray, int, int], np.ndarray]:
+        """A narrow-lane block evaluator reusing two scratch buffers.
 
-    # ------------------------------------------------------------------
-    # skip-then-scan fast path
-    # ------------------------------------------------------------------
+        ``evaluate(buf, lo, stop)`` returns lanes for positions
+        ``[lo, stop)`` whose low ``mask_bits`` equal the exact hashes',
+        given ``mask_bits - 1`` context bytes before the first position
+        that is tested (or the input head at ``lo == 0``).
+        """
+        size = self.hash_block + self.mask_bits - 1
+        h_buf = np.empty(size, dtype=self._lanes.dtype)
+        shifted = np.empty_like(h_buf)
 
-    def _cut_seqcdc(self, data: bytes) -> Tuple[np.ndarray, ChunkScanStats]:
-        buf = np.frombuffer(data, dtype=np.uint8)
-        n = buf.size
-        table = self._table
-        mask = self._mask
-        min_s = self.min_size
-        max_s = self.max_size
-        block = self.scan_block
-        cuts = [0]
-        last = 0
-        scan_bytes = 0
-        warmup_bytes = 0
-        hits_total = 0
-        # watermark of positions already hashed: keeps scan_bytes a count
-        # of *distinct* tested positions even when a scan_block larger
-        # than min_size makes consecutive windows overlap (the re-hashed
-        # overlap is accounted as warm-up context instead)
-        hashed_upto = 0
-        while last < n:
-            limit = last + max_s
-            cut = -1
-            # a content cut lands at offset c = i + 1 with
-            # last + min <= c < limit and i < n: hash positions
-            # [last + min - 1, min(limit - 1, n)) — everything before is
-            # the skip region, everything at/after is the forced cut
-            pos = last + min_s - 1
-            stop = min(limit - 1, n)
-            while pos < stop:
-                end = min(pos + block, stop)
-                lo = max(pos - WARMUP, 0)
-                h = _hashes_doubling(table[buf[lo:end]])
-                z = (h[pos - lo :] & mask) == 0
-                fresh = end - max(pos, hashed_upto) if end > hashed_upto else 0
-                scan_bytes += fresh
-                warmup_bytes += (end - pos) - fresh + (pos - lo)
-                if end > hashed_upto:
-                    hashed_upto = end
-                hits = int(z.sum())
-                if hits:
-                    hits_total += hits
-                    cut = pos + int(z.argmax()) + 1
+        def evaluate(buf: np.ndarray, lo: int, stop: int) -> np.ndarray:
+            h = h_buf[: stop - lo]
+            np.take(self._lanes, buf[lo:stop], out=h)
+            for s in self._shifts:
+                if s >= h.size:
                     break
-                pos = end
-            if cut < 0:
-                cut = min(limit, n)
-            cuts.append(cut)
-            last = cut
-        boundaries = np.asarray(cuts, dtype=np.int64)
-        stats = ChunkScanStats(
-            bytes_in=n,
-            chunks_out=len(cuts) - 1,
-            scan_bytes=scan_bytes,
-            skipped_bytes=n - scan_bytes,
-            warmup_bytes=warmup_bytes,
-            candidates=hits_total,
-        )
-        return boundaries, stats
+                tail = shifted[: h.size - s]
+                np.left_shift(h[:-s], s, out=tail)
+                h[s:] += tail
+            return h
 
-    # ------------------------------------------------------------------
+        return evaluate
 
     def cut_boundaries(self, data: bytes) -> np.ndarray:
-        n = len(data)
-        if n == 0:
-            self._record(ChunkScanStats(0, 0, 0, 0, 0, 0))
-            return np.zeros(1, dtype=np.int64)
+        buf = np.frombuffer(data, dtype=np.uint8)
+        n = buf.size
         if self.exact:
-            cuts, stats = self._cut_exact(data)
+            evaluate, warmup = self._eval_block, WARMUP
         else:
-            cuts, stats = self._cut_seqcdc(data)
-        self._record(stats)
+            evaluate, warmup = self._lane_evaluator(), self.mask_bits - 1
+        hits = [np.zeros(0, dtype=np.int64)]
+        warmup_bytes = 0
+        for start, stop, lo in self._hash_blocks(n, warmup):
+            h = evaluate(buf, lo, stop)[start - lo :]
+            # candidate cut *after* position i  ->  boundary offset i+1
+            hits.append(np.flatnonzero((h & self._mask) == 0) + (start + 1))
+            warmup_bytes += start - lo
+        candidates = np.concatenate(hits)
+        cuts = select_cuts(candidates, n, self.min_size, self.max_size)
+        self._record(
+            ChunkScanStats(
+                bytes_in=n,
+                chunks_out=len(cuts) - 1,
+                scan_bytes=n,
+                skipped_bytes=0,
+                warmup_bytes=warmup_bytes,
+                candidates=int(candidates.size),
+            )
+        )
         return cuts
 
     def _record(self, stats: ChunkScanStats) -> None:
@@ -348,5 +276,5 @@ class GearChunker(Chunker):
         return (
             f"GearChunker(avg={self.avg_size}, min={self.min_size}, "
             f"max={self.max_size}, seed={self.seed}, "
-            f"{'exact' if self.exact else 'seqcdc'})"
+            f"{'exact' if self.exact else 'narrow-lane'})"
         )

@@ -285,9 +285,9 @@ class MetricsRegistry:
 
 def chunking_summary(snap: Dict) -> List[Tuple[str, str]]:
     """Derived CDC figures from the raw ``chunking.*`` counters and the
-    ``chunking.phase.cut`` span (PR 6): mean chunk size, the skip-then-
-    scan byte split, and candidate density. Empty when the snapshot has
-    no chunking activity (non-byte-level runs)."""
+    ``chunking.phase.cut`` span: mean chunk size, the scanned/skipped
+    byte split, and candidate density. Empty when the snapshot has no
+    chunking activity (non-byte-level runs)."""
     counters = snap.get("counters", {})
     bytes_in = counters.get("chunking.bytes_in", 0)
     if not bytes_in:

@@ -83,6 +83,17 @@ class TestBatchMatchesScalar:
             seg = data[int(bounds[i]) : int(bounds[i + 1])]
             assert int(got[i]) == fingerprint64_fast(seg)
 
+    def test_segments_longer_than_the_position_mix_table(self):
+        """Segments past 32 KiB (4096 words) grow the position-mix table;
+        shorter segments in the same call still read the same values."""
+        sizes = [40_000, 17, 100_000, 32 * 1024, 32 * 1024 + 1]
+        bounds = boundaries_from_sizes(sizes)
+        data = random_bytes(int(bounds[-1]), 3)
+        got = fingerprint_segments_fast(data, bounds)
+        for i in range(len(sizes)):
+            seg = data[int(bounds[i]) : int(bounds[i + 1])]
+            assert int(got[i]) == fingerprint64_fast(seg)
+
     def test_length_breaks_prefix_collisions(self):
         """A short chunk and its zero-padded extension must differ."""
         a = b"\x01\x02\x03"

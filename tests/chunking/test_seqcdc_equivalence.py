@@ -1,12 +1,13 @@
-"""Skip-then-scan Gear path: bit-identical to the exact reference sweep.
+"""Narrow-lane Gear path: bit-identical to the exact reference sweep.
 
-The tentpole contract: ``GearChunker()`` (SeqCDC-style skip-then-scan)
-and ``GearChunker(exact=True)`` (the 64-pass full sweep) produce the
-same cut sequence on every input, for every block-size knob — the knobs
-tune memory and speed, never the cuts. Property-tested here with twin
-runs, plus the shared :func:`select_cuts` clamp against a naive scalar
-reference, the documented edge cases, bounded-allocation streaming, and
-the byte-accounting invariants behind the ``chunking.*`` counters.
+The contract: ``GearChunker()`` (masked hash bits only, in narrow
+lanes) and ``GearChunker(exact=True)`` (the 64-pass full 64-bit sweep)
+produce the same cut sequence on every input, for every mask width and
+block size — the block size tunes memory and speed, never the cuts.
+Property-tested here with twin runs, plus the shared
+:func:`select_cuts` clamp against a naive scalar reference, the
+documented edge cases, bounded-allocation streaming, and the exact byte
+accounting behind the ``chunking.*`` counters.
 """
 
 import numpy as np
@@ -22,23 +23,45 @@ def random_bytes(n: int, seed: int = 0) -> bytes:
     return bytes(np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8))
 
 
+#: averages covering tiny masks (2 and 4 bits, uint8 lanes), the uint16
+#: lane, and masks wider than 16 bits (17 and 20 bits, uint32 lanes)
+AVERAGES = [4, 16, 256, 1024, 4096, 2**17, 2**20]
+
+
 class TestTwinRun:
     """fast path == exact path, cut for cut."""
 
-    @settings(deadline=None, max_examples=40)
+    @settings(deadline=None, max_examples=60)
     @given(
         n=st.integers(0, 40_000),
         data_seed=st.integers(0, 2**31 - 1),
-        avg=st.sampled_from([256, 1024, 4096]),
-        scan_block=st.sampled_from([64, 1000, 4096]),
+        avg=st.sampled_from(AVERAGES),
+        fast_block=st.sampled_from([64, 1000, 4096, 1 << 16]),
         hash_block=st.sampled_from([4096, 1 << 20]),
     )
-    def test_random_buffers(self, n, data_seed, avg, scan_block, hash_block):
+    def test_random_buffers(self, n, data_seed, avg, fast_block, hash_block):
         data = random_bytes(n, data_seed)
-        fast = GearChunker(avg_size=avg, seed=7, scan_block=scan_block)
+        fast = GearChunker(avg_size=avg, seed=7, hash_block=fast_block)
         exact = GearChunker(avg_size=avg, seed=7, exact=True, hash_block=hash_block)
         np.testing.assert_array_equal(
             fast.cut_boundaries(data), exact.cut_boundaries(data)
+        )
+
+    @pytest.mark.parametrize("avg", AVERAGES)
+    def test_lanes_equal_low_hash_bits(self, avg):
+        """Every position's lane holds the exact hash's low mask bits,
+        not only the zero/non-zero test: wide masks rarely fire on test-
+        sized inputs, so cut equality alone would barely touch them."""
+        data = random_bytes(50_000, seed=avg)
+        chunker = GearChunker(avg_size=avg, hash_block=4096)
+        evaluate = chunker._lane_evaluator()
+        mask = (1 << chunker.mask_bits) - 1
+        buf = np.frombuffer(data, dtype=np.uint8)
+        lanes = np.empty(buf.size, dtype=np.uint64)
+        for start, stop, lo in chunker._hash_blocks(buf.size, chunker.mask_bits - 1):
+            lanes[start:stop] = evaluate(buf, lo, stop)[start - lo :] & mask
+        np.testing.assert_array_equal(
+            lanes, chunker.rolling_hashes(data) & np.uint64(mask)
         )
 
     @settings(deadline=None, max_examples=60)
@@ -166,7 +189,7 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             GearChunker(avg_size=1024, max_size=512)
         with pytest.raises(ValueError):
-            GearChunker(avg_size=1024, scan_block=0)
+            GearChunker(avg_size=1024, hash_block=0)
 
 
 class TestBlockSizeIndependence:
@@ -175,8 +198,8 @@ class TestBlockSizeIndependence:
         data = random_bytes(10 * 1024 * 1024, seed=42)
         reference = GearChunker().cut_boundaries(data)
         assert reference.size > 100  # sanity: real chunking happened
-        for scan_block in (257, 1024, 8192, 32 * 1024):
-            got = GearChunker(scan_block=scan_block).cut_boundaries(data)
+        for hash_block in (257, 1024, 8192, 32 * 1024):
+            got = GearChunker(hash_block=hash_block).cut_boundaries(data)
             np.testing.assert_array_equal(got, reference)
         # and a second identical run is bit-identical (determinism)
         np.testing.assert_array_equal(
@@ -236,12 +259,12 @@ class TestScanStats:
     @given(
         n=st.integers(0, 60_000),
         data_seed=st.integers(0, 500),
-        scan_block=st.sampled_from([64, 1024, 8192]),
+        hash_block=st.sampled_from([64, 1024, 8192]),
     )
-    def test_byte_accounting_partitions_input(self, n, data_seed, scan_block):
+    def test_byte_accounting_partitions_input(self, n, data_seed, hash_block):
         """scan + skipped == bytes_in exactly, on every input."""
         data = random_bytes(n, data_seed)
-        chunker = GearChunker(avg_size=1024, scan_block=scan_block)
+        chunker = GearChunker(avg_size=1024, hash_block=hash_block)
         cuts = chunker.cut_boundaries(data)
         s = chunker.last_stats
         assert s.bytes_in == n
@@ -250,28 +273,35 @@ class TestScanStats:
         assert s.warmup_bytes >= 0
         assert s.chunks_out == cuts.size - 1
 
-    def test_skip_region_sharp_bound(self):
-        """Every chunk's first min_size - 1 positions are skipped except
-        for the previous window's sub-block overshoot: the final
-        sub-block extends at most scan_block - 1 bytes past the cut. A
-        small scan_block makes the bound sharp — the quantitative basis
-        of the 'hashes far less than the input' claim."""
-        data = random_bytes(4 * 1024 * 1024, seed=17)
-        chunker = GearChunker(scan_block=64)  # avg 8 KiB: min 2048
-        chunker.cut_boundaries(data)
-        s = chunker.last_stats
-        min_skip = (s.chunks_out - 1) * (chunker.min_size - 1)
-        overshoot = s.chunks_out * (chunker.scan_block - 1)
-        assert s.skipped_bytes >= min_skip - overshoot
-        assert s.scan_bytes <= s.bytes_in - min_skip + overshoot
+    @pytest.mark.parametrize("n", [1, 4096, 4097, 1_000_003])
+    def test_scan_and_warmup_accounting_pinned(self, n):
+        """Both paths test every position, and each block after the first
+        re-hashes exactly its context: mask_bits - 1 bytes on the
+        narrow-lane path, WARMUP on the exact path."""
+        data = random_bytes(n, seed=17)
+        for exact in (False, True):
+            chunker = GearChunker(exact=exact, hash_block=4096)
+            chunker.cut_boundaries(data)
+            s = chunker.last_stats
+            n_blocks = -(-n // chunker.hash_block)
+            context = WARMUP if exact else chunker.mask_bits - 1
+            assert s.scan_bytes == s.bytes_in == n
+            assert s.skipped_bytes == 0
+            assert s.warmup_bytes == context * (n_blocks - 1)
 
-    def test_fast_path_skips_a_nontrivial_fraction(self):
-        data = random_bytes(4 * 1024 * 1024, seed=17)
-        chunker = GearChunker()  # defaults: avg 8 KiB
-        chunker.cut_boundaries(data)
-        s = chunker.last_stats
-        assert 0 < s.scan_bytes / s.bytes_in < 0.95
-        assert s.skipped_bytes > 0
+    @pytest.mark.parametrize("avg", [16, 1024, 8192])
+    def test_candidates_match_rolling_hashes(self, avg):
+        """``candidates`` counts every position whose exact masked hash
+        is zero, on both paths."""
+        data = random_bytes(300_000, seed=avg)
+        reference = GearChunker(avg_size=avg)
+        mask = np.uint64((1 << reference.mask_bits) - 1)
+        expected = int(((reference.rolling_hashes(data) & mask) == 0).sum())
+        assert expected > 0
+        for exact in (False, True):
+            chunker = GearChunker(avg_size=avg, exact=exact, hash_block=4096)
+            chunker.cut_boundaries(data)
+            assert chunker.last_stats.candidates == expected
 
     def test_exact_path_scans_everything(self):
         data = random_bytes(100_000, seed=1)

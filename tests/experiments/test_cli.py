@@ -39,6 +39,32 @@ class TestParser:
         assert args.jobs == 1
         assert args.cell_timeout is None
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["chaos", "--crash-points", "0"], "--crash-points"),
+            (["chaos", "--crash-points", "-3"], "--crash-points"),
+            (["fig4", "--shards", "0"], "--shards"),
+        ],
+    )
+    def test_counts_below_one_are_usage_errors(self, argv, flag, capsys):
+        """Rejected at the boundary with a one-line usage error: no
+        vacuous chaos "OK" and no traceback from ShardConfig."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [f"defrag-repro: error: argument {flag}: must be >= 1, "
+                          f"got {argv[-1]}"]
+        assert "Traceback" not in captured.err
+
+    def test_positive_counts_accepted(self):
+        args = build_parser().parse_args(["chaos", "--crash-points", "1", "--shards", "2"])
+        assert args.crash_points == 1
+        assert args.shards == 2
+
 
 class TestTraceParser:
     def test_trace_takes_target_and_events(self):
