@@ -167,9 +167,11 @@ class DeFragEngine(DDFSEngine):
     def _process_segment_batch(self, segment: Segment) -> SegmentOutcome:
         """Segment-at-a-time identify/decide/place. Identification and the
         SPL profile are vectorized; the place walk defers the summary-
-        vector inserts to one ``add_many`` (no chunk reads the bloom
-        between a place-phase write and the end of the segment, so the
-        deferral is invisible). Equivalent to the scalar path bit-for-bit."""
+        vector inserts to one ``add_rows`` fold through the segment's
+        bloom batch, reusing the probe positions hashed at identify (no
+        chunk reads the bloom between a place-phase write and the end of
+        the segment, so the deferral is invisible). Equivalent to the
+        scalar path bit-for-bit."""
         n = segment.n_chunks
         outcome = SegmentOutcome(index=segment.index, n_chunks=n, nbytes=segment.nbytes)
         assert self._recipe is not None
@@ -177,7 +179,7 @@ class DeFragEngine(DDFSEngine):
         observing = self.obs.enabled
         clock = self.res.disk.clock
         t0 = clock.now
-        locations = self._identify_batch(segment)
+        locations, bloom_batch = self._identify_batch(segment)
         t1 = clock.now
         profile = self._profile_batch(segment, locations)
         decision = self.policy.decide(profile)
@@ -222,6 +224,7 @@ class DeFragEngine(DDFSEngine):
         # into one insert_many + update_many preserves the final map.
         new_fps: List[int] = []
         new_slots: List[int] = []
+        new_events: List[int] = []
         re_fps: List[int] = []
         re_slots: List[int] = []
         w_fps: List[int] = []
@@ -241,6 +244,7 @@ class DeFragEngine(DDFSEngine):
                     continue
                 first_slot[fp] = len(w_fps)
                 new_fps.append(fp)
+                new_events.append(i)
                 new_slots.append(len(w_fps))
                 written += sizes[i]
             else:
@@ -265,8 +269,8 @@ class DeFragEngine(DDFSEngine):
             if re_fps:
                 index.update_many(re_fps, [w_locs[s] for s in re_slots])
             stream.update(zip(w_fps, w_locs))
-        if new_fps:
-            self.bloom.add_many(np.asarray(new_fps, dtype=np.uint64))
+        bloom_batch.add_rows(new_events)
+        bloom_batch.flush()
         outcome.written_new = written
         outcome.removed_dup = removed
         outcome.rewritten_dup = rewritten

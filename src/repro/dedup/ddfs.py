@@ -23,14 +23,14 @@ per MB.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.api import register_engine
 from repro._util import check_positive
 from repro.dedup.base import CostModel, DedupEngine, EngineResources, SegmentOutcome
-from repro.index.bloom import BloomFilter
+from repro.index.bloom import BloomBatch, BloomFilter
 from repro.index.cache import FingerprintPrefetchCache
 from repro.index.full_index import ChunkLocation
 from repro.segmenting.segmenter import Segment
@@ -211,11 +211,9 @@ class DDFSEngine(DedupEngine):
         bloom_contains = bloom_batch.contains
         bloom_add = bloom_batch.add
         # hoisted fast path of bloom_contains: snapshot answer, falling
-        # into the full check only when pending or staged inserts could
-        # flip it (both containers are mutated in place, never rebound)
-        bloom_m0 = bloom_batch._m0
-        bloom_pending = bloom_batch._pending
-        bloom_staged = bloom_batch._staged
+        # into the full check only once the batch's own inserts could
+        # flip it
+        bloom_snapshot = bloom_batch.snapshot
 
         cache = self.cache
         touch = cache.touch_unit
@@ -311,7 +309,7 @@ class DDFSEngine(DedupEngine):
                     removed += sizes[i]
                     i += 1
                     continue
-                if bloom_m0[i] or ((bloom_pending or bloom_staged) and bloom_contains(i)):
+                if bloom_snapshot[i] or (bloom_batch.dirty and bloom_contains(i)):
                     # rung 4: on-disk index
                     loc = index_lookup(fp)
                     if loc is not None:
@@ -340,20 +338,26 @@ class DDFSEngine(DedupEngine):
         self._recipe.add_many(fps, sizes, cids)
         return outcome
 
-    def _identify_batch(self, segment: Segment) -> List[Optional[ChunkLocation]]:
+    def _identify_batch(
+        self, segment: Segment
+    ) -> Tuple[List[Optional[ChunkLocation]], BloomBatch]:
         """Vectorized pure identification: ``[_resolve_duplicate(fp) for
         fp in segment.fps]`` with the vector work batched. No chunk is
         written during identification, so the summary vector is static
-        and one ``contains_many`` answers rung 3 for the whole segment;
-        cache membership is re-resolved per locality-prefetch event
-        exactly as in :meth:`_process_segment_batch`. Used by the
-        selective engines (DeFrag, iDedup) whose phase 1 runs before any
-        placement."""
+        and the snapshot of the segment's :class:`BloomBatch` answers
+        rung 3 for the whole segment; cache membership is re-resolved per
+        locality-prefetch event exactly as in
+        :meth:`_process_segment_batch`. Used by the selective engines
+        (DeFrag, iDedup) whose phase 1 runs before any placement.
+
+        Returns the locations and the open batch: the place phase inserts
+        its new chunks through it (``add_rows`` + ``flush``), so each
+        fingerprint is hashed once per segment."""
         n = segment.n_chunks
         fps_arr = segment.fps
         fps = fps_arr.tolist()
-        m0_arr = self.bloom.contains_many(fps_arr)
-        m0 = m0_arr.tolist()
+        bloom_batch = self.bloom.begin_batch(fps_arr)
+        m0 = bloom_batch.snapshot
         cache = self.cache
         touch = cache.touch_unit
         index = self.res.index
@@ -365,7 +369,7 @@ class DDFSEngine(DedupEngine):
         # vector are static for the whole segment: a cache-missing chunk
         # that is stream-absent and bloom-negative resolves to None with
         # no further work, and a whole run of them is skipped in one step
-        skip = ~m0_arr
+        skip = bloom_batch.negatives()
         if stream:
             skip &= ~np.fromiter(map(stream.__contains__, fps), dtype=bool, count=n)
         locations: List[Optional[ChunkLocation]] = [None] * n
@@ -421,7 +425,7 @@ class DDFSEngine(DedupEngine):
                 break
         cache.count_hits(hits)
         cache.count_probes(n)
-        return locations
+        return locations, bloom_batch
 
 
 @register_engine("DDFS-Like")

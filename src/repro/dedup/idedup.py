@@ -142,13 +142,15 @@ class IDedupEngine(DDFSEngine):
         """Segment-at-a-time identify/filter/place: vectorized
         identification (shared DDFS ladder), vectorized run detection,
         then the scalar place walk with the summary-vector inserts
-        deferred to one ``add_many`` (nothing reads the bloom during
-        placement). Byte-identical to the scalar path."""
+        deferred to one ``add_rows`` fold through the segment's bloom
+        batch, reusing the probe positions hashed at identify (nothing
+        reads the bloom during placement). Byte-identical to the scalar
+        path."""
         n = segment.n_chunks
         outcome = SegmentOutcome(index=segment.index, n_chunks=n, nbytes=segment.nbytes)
         assert self._recipe is not None
 
-        locations = self._identify_batch(segment)
+        locations, bloom_batch = self._identify_batch(segment)
         keep = self._dup_runs_batch(locations)
 
         sid = self._allocate_sid()
@@ -162,7 +164,7 @@ class IDedupEngine(DDFSEngine):
         stream_get = stream.get
 
         cids = [0] * n
-        new_fps: List[int] = []
+        new_events: List[int] = []
         written = removed = rewritten = 0
         for i in range(n):
             fp = fps[i]
@@ -178,7 +180,7 @@ class IDedupEngine(DDFSEngine):
                 nloc = ChunkLocation(cid, sid)
                 index_insert(fp, nloc)
                 stream[fp] = nloc
-                new_fps.append(fp)
+                new_events.append(i)
                 written += size
                 cids[i] = cid
             elif keep[i]:
@@ -195,8 +197,8 @@ class IDedupEngine(DDFSEngine):
                 self.total_rewritten_chunks += 1
                 rewritten += size
                 cids[i] = cid
-        if new_fps:
-            self.bloom.add_many(np.asarray(new_fps, dtype=np.uint64))
+        bloom_batch.add_rows(new_events)
+        bloom_batch.flush()
         outcome.written_new = written
         outcome.removed_dup = removed
         outcome.rewritten_dup = rewritten

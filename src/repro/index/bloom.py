@@ -5,7 +5,8 @@ fingerprints, letting the engine skip the on-disk index for the common
 new-chunk case. Implemented over a numpy uint64 word array with
 double-hashing (Kirsch–Mitzenmacher): k probe positions derived from two
 independent 64-bit mixes of the fingerprint. All operations come in
-scalar and vectorized (array) forms.
+scalar and vectorized (array) forms, plus a per-segment
+:class:`BloomBatch` that hashes a segment once for a whole ingest walk.
 """
 
 from __future__ import annotations
@@ -15,9 +16,19 @@ import math
 import numpy as np
 
 from repro._util import check_fraction, check_positive
-from repro.chunking.fingerprint import splitmix64_array
 
 _U64 = np.uint64
+_ONE = _U64(1)
+_SIX = _U64(6)
+_LOW6 = _U64(63)
+# the two independent mixes are splitmix64 of the key XOR each salt
+_SALTS = np.array([0xA5A5A5A5A5A5A5A5, 0x5EED5EED5EED5EED], dtype=np.uint64)
+# splitmix64 constants (repro.chunking.fingerprint.splitmix64), inlined
+# so the kernel can run in place
+_GAMMA = _U64(0x9E3779B97F4A7C15)
+_MUL1 = _U64(0xBF58476D1CE4E5B9)
+_MUL2 = _U64(0x94D049BB133111EB)
+_S30, _S27, _S31 = _U64(30), _U64(27), _U64(31)
 
 
 class BloomFilter:
@@ -42,18 +53,37 @@ class BloomFilter:
         self.n_hashes = max(1, int(round((n_bits / capacity) * ln2)))
         self._words = np.zeros((n_bits + 63) // 64, dtype=np.uint64)
         self.n_added = 0
+        self._ks = np.arange(self.n_hashes, dtype=np.uint64)
+        self._modulus = _U64(n_bits)
 
     # -- hashing --------------------------------------------------------
 
     def _positions(self, fps: np.ndarray) -> np.ndarray:
-        """(n, k) array of bit positions for each fingerprint."""
-        fps = np.asarray(fps, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            h1 = splitmix64_array(fps ^ _U64(0xA5A5A5A5A5A5A5A5))
-            h2 = splitmix64_array(fps ^ _U64(0x5EED5EED5EED5EED)) | _U64(1)
-            ks = np.arange(self.n_hashes, dtype=np.uint64)
-            probes = h1[:, None] + ks[None, :] * h2[:, None]
-        return (probes % _U64(self.n_bits)).astype(np.uint64)
+        """(n, k) uint64 array of bit positions for each fingerprint:
+        ``(h1 + j * (h2 | 1)) mod n_bits`` for ``j < k``, where ``h1`` and
+        ``h2`` are splitmix64 of the key XOR each salt.
+
+        Both mixes run as one in-place splitmix64 pass over an
+        ``(n, 2)`` array. numpy wraps uint64 *array* arithmetic modulo
+        2**64 without an overflow warning (only scalar arithmetic warns),
+        so no ``errstate`` is needed.
+        """
+        h = np.asarray(fps, dtype=np.uint64)[:, None] ^ _SALTS
+        h += _GAMMA
+        h ^= h >> _S30
+        h *= _MUL1
+        h ^= h >> _S27
+        h *= _MUL2
+        h ^= h >> _S31
+        h[:, 1] |= _ONE
+        pos = h[:, 1:] * self._ks
+        pos += h[:, :1]
+        pos %= self._modulus
+        return pos
+
+    def _rows_bits(self, pos: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Word index and in-word bit mask of each probe position."""
+        return (pos >> _SIX).astype(np.int64), _ONE << (pos & _LOW6)
 
     # -- scalar API -----------------------------------------------------
 
@@ -69,24 +99,14 @@ class BloomFilter:
     def add_many(self, fps: np.ndarray) -> None:
         """Insert an array of fingerprints."""
         fps = np.asarray(fps, dtype=np.uint64)
-        if fps.size == 0:
-            return
-        pos = self._positions(fps).ravel()
-        words = (pos >> _U64(6)).astype(np.int64)
-        bits = _U64(1) << (pos & _U64(63))
-        np.bitwise_or.at(self._words, words, bits)
+        rows, bits = self._rows_bits(self._positions(fps))
+        np.bitwise_or.at(self._words, rows.ravel(), bits.ravel())
         self.n_added += int(fps.size)
 
     def contains_many(self, fps: np.ndarray) -> np.ndarray:
         """Boolean membership array for ``fps``."""
-        fps = np.asarray(fps, dtype=np.uint64)
-        if fps.size == 0:
-            return np.zeros(0, dtype=bool)
-        pos = self._positions(fps)
-        words = (pos >> _U64(6)).astype(np.int64)
-        bits = _U64(1) << (pos & _U64(63))
-        hit = (self._words[words] & bits) != 0
-        return hit.all(axis=1)
+        rows, bits = self._rows_bits(self._positions(fps))
+        return ((self._words[rows] & bits) != 0).all(axis=1)
 
     # -- segment batching -------------------------------------------------
 
@@ -130,76 +150,78 @@ class BloomFilter:
 class BloomBatch:
     """One segment's fingerprints, hashed once, probed per chunk.
 
-    ``contains(i)`` / ``add(i)`` refer to the i-th fingerprint of the
-    array handed to :meth:`BloomFilter.begin_batch`. Membership uses the
+    ``contains(i)`` / ``add(i)`` / ``add_rows(idx)`` refer to positions in
+    the array handed to :meth:`BloomFilter.begin_batch`; the batch assumes
+    nothing else writes the filter while it is open. Membership uses the
     snapshot taken at construction (bits never clear, so a set bit stays
-    authoritative) plus the batch's own pending inserts — the only way a
+    authoritative) plus the batch's own inserts — the only way a
     snapshot-absent chunk's answer can change mid-segment. Inserts are
-    staged in a per-word pending dict and folded into the filter's word
-    array by :meth:`flush` in one vector OR; the caller must flush at the
-    end of the segment walk.
+    held in the batch (a per-word pending dict for scalar adds, row
+    blocks for bulk adds) and folded into the filter's word array by
+    :meth:`flush`, which the caller must call at the end of the walk.
+
+    Attributes:
+        snapshot: per-fingerprint membership at batch start (a list of
+            bools, for per-chunk reads in Python walks).
+        dirty: True once the batch has inserted anything, i.e. once a
+            ``False`` in ``snapshot`` may be stale and only
+            :meth:`contains` is authoritative.
     """
 
     __slots__ = (
         "_bloom",
+        "_pos",
         "_rows",
         "_bits",
-        "_m0",
         "_hit",
-        "_pos",
-        "_hit_arr",
+        "_member",
+        "snapshot",
+        "dirty",
         "_pending",
         "_staged",
-        "_added_pos",
+        "_added",
     )
 
     def __init__(self, bloom: BloomFilter, fps: np.ndarray) -> None:
-        fps = np.asarray(fps, dtype=np.uint64)
         self._bloom = bloom
-        self._pending: dict = {}
-        # inserts staged in bulk by try_stage, folded lazily (contains)
-        # or at flush; _added_pos tracks every insert's probe positions
-        # for try_stage's coverage check
-        self._staged: list = []
-        self._added_pos: list = []
-        if fps.size == 0:
-            self._rows: list = []
-            self._bits: list = []
-            self._m0: list = []
-            self._hit: list = []
-            self._pos = np.zeros((0, 0), dtype=np.uint64)
-            self._hit_arr = np.zeros((0, 0), dtype=bool)
-            return
         pos = bloom._positions(fps)
-        rows = (pos >> _U64(6)).astype(np.int64)
-        bits = _U64(1) << (pos & _U64(63))
-        hit = (bloom._words[rows] & bits) != 0
-        self._m0 = hit.all(axis=1).tolist()
-        self._rows = rows.tolist()
-        self._bits = bits.tolist()
+        rows, bits = bloom._rows_bits(pos)
         # per-probe snapshot answers: bits never clear, so a snapshot-set
         # probe stays set and only snapshot-unset probes can be flipped
-        # (by a pending insert)
-        self._hit = hit.tolist()
+        # (by an insert of this batch). Rows stay numpy arrays; the
+        # per-chunk paths convert one row at a time, when they need it.
+        hit = (bloom._words[rows] & bits) != 0
         self._pos = pos
-        self._hit_arr = hit
+        self._rows = rows
+        self._bits = bits
+        self._hit = hit
+        self._member = hit.all(axis=1)
+        self.snapshot: list = self._member.tolist()
+        self.dirty = False
+        self._pending: dict = {}
+        # bulk inserts (index selections into the batch) not yet folded
+        # into _pending; _added holds every insert's selection, for
+        # try_stage's coverage check
+        self._staged: list = []
+        self._added: list = []
 
     def negatives(self) -> np.ndarray:
         """Boolean mask of the chunks whose *snapshot* membership is
-        negative (the only chunks a pending insert could still flip)."""
-        return ~np.asarray(self._m0, dtype=bool)
+        negative (the only chunks an insert of this batch could flip)."""
+        return ~self._member
 
     def contains(self, i: int) -> bool:
         """Membership of fingerprint ``i``, as of now (not batch start)."""
-        if self._m0[i]:
+        if self.snapshot[i]:
             return True
+        if not self.dirty:
+            return False
         if self._staged:
             self._materialize()
-        pending = self._pending
-        if not pending:
-            return False
-        get = pending.get
-        for row, bit, h in zip(self._rows[i], self._bits[i], self._hit[i]):
+        get = self._pending.get
+        for row, bit, h in zip(
+            self._rows[i].tolist(), self._bits[i].tolist(), self._hit[i].tolist()
+        ):
             if not h and not get(row, 0) & bit:
                 return False
         return True
@@ -208,10 +230,21 @@ class BloomBatch:
         """Insert fingerprint ``i`` (visible to later ``contains`` calls)."""
         pending = self._pending
         get = pending.get
-        for row, bit in zip(self._rows[i], self._bits[i]):
+        for row, bit in zip(self._rows[i].tolist(), self._bits[i].tolist()):
             pending[row] = get(row, 0) | bit
-        self._added_pos.append(self._pos[i])
+        self._added.append(i)
         self._bloom.n_added += 1
+        self.dirty = True
+
+    def add_rows(self, idx) -> None:
+        """Insert the fingerprints at positions ``idx`` in one block —
+        ``add(i)`` for each, without a per-chunk loop (a repeated
+        position counts once per occurrence, as repeated ``add`` calls
+        do)."""
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size == 0:
+            return
+        self._stage(idx)
 
     def try_stage(self, lo: int, hi: int) -> bool:
         """Stage the inserts of chunks ``[lo, hi)`` in one batch — but only
@@ -225,29 +258,33 @@ class BloomBatch:
         bit-identical to the scalar sequence.
         """
         sub = self._pos[lo:hi]
-        miss = ~self._hit_arr[lo:hi]
+        miss = ~self._hit[lo:hi]
         flat = sub.ravel()
         uniq, inv, counts = np.unique(flat, return_inverse=True, return_counts=True)
         # a probe is a valid witness if no run peer shares it ...
         solo = (counts == 1)[inv].reshape(sub.shape)
-        if self._added_pos:
+        if self._added:
             # ... and no earlier insert of this batch already set it
-            added = np.concatenate([a.ravel() for a in self._added_pos])
+            added = np.concatenate([self._pos[s].ravel() for s in self._added])
             solo &= ~np.isin(flat, added).reshape(sub.shape)
         if not bool((solo & miss).any(axis=1).all()):
             return False
-        self._staged.append(sub)
-        self._added_pos.append(sub)
-        self._bloom.n_added += hi - lo
+        self._stage(slice(lo, hi))
         return True
+
+    def _stage(self, sel) -> None:
+        """Record a bulk insert of the fingerprints selected by ``sel``."""
+        self._staged.append(sel)
+        self._added.append(sel)
+        self._bloom.n_added += len(self._member[sel])
+        self.dirty = True
 
     def _materialize(self) -> None:
         """Fold staged bulk inserts into the pending per-word dict so the
-        scalar ``contains`` fast path sees them."""
-        pos = np.concatenate([b.ravel() for b in self._staged])
+        scalar ``contains`` path sees them."""
+        rows = np.concatenate([self._rows[s].ravel() for s in self._staged])
+        bits = np.concatenate([self._bits[s].ravel() for s in self._staged])
         self._staged.clear()
-        rows = (pos >> _U64(6)).astype(np.int64)
-        bits = _U64(1) << (pos & _U64(63))
         order = np.argsort(rows, kind="stable")
         rows_s = rows[order]
         bits_s = bits[order]
@@ -259,18 +296,17 @@ class BloomBatch:
             pending[r] = get(r, 0) | v
 
     def flush(self) -> None:
-        """Fold pending and staged inserts into the filter's word array."""
-        for block in self._staged:
-            pos = block.ravel()
-            rows = (pos >> _U64(6)).astype(np.int64)
-            bits = _U64(1) << (pos & _U64(63))
-            np.bitwise_or.at(self._bloom._words, rows, bits)
-        self._staged.clear()
+        """Fold every insert so far into the filter's word array.
+
+        The batch keeps its inserts (OR is idempotent), so it stays
+        usable — ``contains`` remains exact — and a second flush is a
+        harmless repeat."""
+        words = self._bloom._words
+        for sel in self._staged:
+            np.bitwise_or.at(words, self._rows[sel].ravel(), self._bits[sel].ravel())
         pending = self._pending
-        if not pending:
-            return
-        rows = np.fromiter(pending.keys(), dtype=np.int64, count=len(pending))
-        vals = np.fromiter(pending.values(), dtype=np.uint64, count=len(pending))
-        # keys are unique, so plain fancy-index OR is safe
-        self._bloom._words[rows] |= vals
-        pending.clear()
+        if pending:
+            rows = np.fromiter(pending.keys(), dtype=np.int64, count=len(pending))
+            vals = np.fromiter(pending.values(), dtype=np.uint64, count=len(pending))
+            # keys are unique, so plain fancy-index OR is safe
+            words[rows] |= vals

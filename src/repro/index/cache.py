@@ -105,11 +105,12 @@ class FingerprintPrefetchCache:
         self._units: "OrderedDict[int, np.ndarray]" = OrderedDict()
         # fingerprint -> covering unit id
         self._map: Dict[int, int] = {}
-        # uid -> (source array, key list): unit contents are immutable
-        # (sealed containers / sealed blocks), so the int conversion is
-        # paid once per unit, not per re-prefetch; the source array is
-        # kept to detect a uid reused for different contents (tests may
-        # do that; real units never do)
+        # uid -> (source array, key list) for the cached units: unit
+        # contents are immutable (sealed containers / sealed blocks), so
+        # the int conversion is paid once per residency, not on every
+        # re-prefetch or eviction; the source array is kept to detect a
+        # uid reused for different contents (tests may do that; real
+        # units never do). Entries leave with their unit.
         self._derived: Dict[int, tuple] = {}
         self.stats = PrefetchCacheStats()
         # optional (uid, n_fingerprints) eviction callback, wired by the
@@ -218,12 +219,7 @@ class FingerprintPrefetchCache:
         self._units[uid] = fps
         self._map_upsert(self._derive(uid, fps), uid)
         self.stats.units_inserted += 1
-        while len(self._units) > self.capacity_units:
-            old_uid, old_fps = self._units.popitem(last=False)
-            self.stats.units_evicted += 1
-            self._map_evict(self._derive(old_uid, old_fps), old_uid)
-            if self.on_evict is not None:
-                self.on_evict(old_uid, len(old_fps))
+        self._evict_overflow()
 
     def insert_units(self, units: "list[tuple[int, np.ndarray]]") -> None:
         """Cache a *run* of prefetched units in order.
@@ -245,10 +241,16 @@ class FingerprintPrefetchCache:
             self._units[uid] = fps
             self._map_upsert(self._derive(uid, fps), uid)
             self.stats.units_inserted += 1
+        self._evict_overflow()
+
+    def _evict_overflow(self) -> None:
+        """Evict LRU units past capacity, dropping their memoized keys
+        with them (a later re-prefetch re-derives them)."""
         while len(self._units) > self.capacity_units:
             old_uid, old_fps = self._units.popitem(last=False)
             self.stats.units_evicted += 1
             self._map_evict(self._derive(old_uid, old_fps), old_uid)
+            del self._derived[old_uid]
             if self.on_evict is not None:
                 self.on_evict(old_uid, len(old_fps))
 

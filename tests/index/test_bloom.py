@@ -1,7 +1,25 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.chunking.fingerprint import splitmix64
 from repro.index.bloom import BloomFilter
+
+SALT1 = 0xA5A5A5A5A5A5A5A5
+SALT2 = 0x5EED5EED5EED5EED
+MASK64 = (1 << 64) - 1
+SIZINGS = [(100, 0.01), (1000, 0.3), (12_345, 0.0001), (4_000_000, 0.01), (7, 0.5)]
+EDGE_KEYS = [0, MASK64, SALT1, SALT2]
+
+
+def reference_positions(bloom, fp):
+    """Scalar double hashing: (h1 + k * (h2 | 1)) mod n_bits, with the
+    k-th probe wrapping modulo 2**64 before the reduction."""
+    h1 = splitmix64(fp ^ SALT1)
+    h2 = splitmix64(fp ^ SALT2) | 1
+    return [((h1 + k * h2) & MASK64) % bloom.n_bits for k in range(bloom.n_hashes)]
 
 
 class TestConstruction:
@@ -60,6 +78,40 @@ class TestMembership:
         b.add(5)
         assert b.n_added == 2
         assert 5 in b
+
+
+class TestPositionsKernel:
+    """The vectorized probe kernel matches the scalar splitmix64
+    reference bit for bit, and never warns: uint64 array arithmetic wraps
+    silently, so no errstate guard may be hiding an overflow."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizing=st.sampled_from(SIZINGS),
+        keys=st.lists(
+            st.one_of(st.sampled_from(EDGE_KEYS), st.integers(0, MASK64)),
+            min_size=0,
+            max_size=40,
+        ),
+    )
+    def test_matches_scalar_reference(self, sizing, keys):
+        bloom = BloomFilter(*sizing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pos = bloom._positions(np.asarray(keys, dtype=np.uint64))
+        assert pos.dtype == np.uint64
+        assert pos.shape == (len(keys), bloom.n_hashes)
+        assert pos.tolist() == [reference_positions(bloom, k) for k in keys]
+
+    @pytest.mark.parametrize("sizing", SIZINGS)
+    def test_edge_keys(self, sizing):
+        bloom = BloomFilter(*sizing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pos = bloom._positions(np.asarray(EDGE_KEYS, dtype=np.uint64))
+            bloom.add_many(np.asarray(EDGE_KEYS, dtype=np.uint64))
+            assert bloom.contains_many(np.asarray(EDGE_KEYS, dtype=np.uint64)).all()
+        assert pos.tolist() == [reference_positions(bloom, k) for k in EDGE_KEYS]
 
 
 class TestIntrospection:
@@ -129,3 +181,80 @@ class TestBloomBatchStaging:
         # staging chunk 1 must not rewrite the snapshot view
         assert batch.try_stage(1, 2) or True
         assert not batch.negatives()[0]
+
+    def test_add_rows_matches_scalar_adds(self):
+        fps = [3, 5, 3, 8]
+        bloom, batch = self._batch(fps)
+        batch.add_rows([0, 1, 2])
+        assert batch.dirty
+        assert batch.contains(1) and batch.contains(2)
+        batch.flush()
+        ref = BloomFilter(10_000, 0.01)
+        for fp in fps[:3]:
+            ref.add(fp)
+        assert np.array_equal(bloom._words, ref._words)
+        assert bloom.n_added == ref.n_added == 3
+
+    def test_fresh_batch_is_clean(self):
+        _, batch = self._batch([1, 2])
+        batch.add_rows([])
+        assert not batch.dirty
+        assert batch.snapshot == [False, False]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_twin_run_against_scalar_sequence(self, data):
+        """Random interleavings of contains / add / try_stage / add_rows
+        / flush on a batch give the answers and the final bit array of
+        the scalar ``fp in bloom`` / ``bloom.add(fp)`` sequence. A tiny,
+        pre-filled filter makes probe collisions (and so same-batch
+        false positives and try_stage refusals) common."""
+        key = st.one_of(st.integers(0, 30), st.integers(0, MASK64))
+        sizing = data.draw(st.sampled_from([(20, 0.3), (50, 0.1), (500, 0.01)]))
+        prefill = data.draw(st.lists(key, max_size=15))
+        fps = data.draw(st.lists(key, min_size=1, max_size=25))
+        n = len(fps)
+        bloom, ref = BloomFilter(*sizing), BloomFilter(*sizing)
+        for fp in prefill:
+            bloom.add(fp)
+            ref.add(fp)
+        batch = bloom.begin_batch(np.asarray(fps, dtype=np.uint64))
+        assert batch.snapshot == [fp in ref for fp in fps]
+        idx = st.integers(0, n - 1)
+        ops = data.draw(
+            st.lists(
+                st.one_of(
+                    st.tuples(st.just("contains"), idx),
+                    st.tuples(st.just("add"), idx),
+                    st.tuples(st.just("stage"), idx, idx),
+                    st.tuples(st.just("rows"), st.lists(idx, max_size=6)),
+                    st.tuples(st.just("flush")),
+                ),
+                max_size=40,
+            )
+        )
+        for op in ops:
+            if op[0] == "contains":
+                assert batch.contains(op[1]) == (fps[op[1]] in ref)
+            elif op[0] == "add":
+                batch.add(op[1])
+                ref.add(fps[op[1]])
+            elif op[0] == "stage":
+                lo, hi = min(op[1:]), max(op[1:]) + 1
+                if batch.try_stage(lo, hi):
+                    # a True answer promises every staged chunk was still
+                    # absent when its scalar add would have run
+                    for fp in fps[lo:hi]:
+                        assert fp not in ref
+                        ref.add(fp)
+            elif op[0] == "rows":
+                batch.add_rows(op[1])
+                for i in op[1]:
+                    ref.add(fps[i])
+            else:
+                batch.flush()
+                assert np.array_equal(bloom._words, ref._words)
+            assert bloom.n_added == ref.n_added
+        batch.flush()
+        assert np.array_equal(bloom._words, ref._words)
+        assert [batch.contains(i) for i in range(n)] == [fp in ref for fp in fps]

@@ -1,3 +1,5 @@
+from collections import OrderedDict
+
 import numpy as np
 
 from repro.index.cache import FingerprintPrefetchCache, LRUCache
@@ -155,3 +157,54 @@ class TestLookupMany:
     def test_empty_input(self):
         cache = FingerprintPrefetchCache(2)
         assert cache.lookup_many([]).size == 0
+
+
+class TestKeyMemoBound:
+    """The per-unit key memo holds only cached units: evicting a unit
+    drops its keys, and re-prefetching it later re-derives them without
+    changing any lookup."""
+
+    @staticmethod
+    def _reference(events, capacity):
+        """Plain model of the cache's fp -> uid map (newest insert wins,
+        eviction unmaps only fps still attributed to the victim)."""
+        units, fmap = OrderedDict(), {}
+        for run in events:
+            for uid, fps in run:
+                if uid in units:
+                    units.move_to_end(uid)
+                else:
+                    units[uid] = fps
+                fmap.update((int(f), uid) for f in fps)
+            while len(units) > capacity:
+                old, old_fps = units.popitem(last=False)
+                for f in old_fps:
+                    if fmap.get(int(f)) == old:
+                        del fmap[int(f)]
+            yield dict(fmap)
+
+    def test_memo_bounded_and_lookups_unchanged(self):
+        capacity = 4
+        rng = np.random.default_rng(7)
+        # immutable unit contents with overlapping fingerprints, as
+        # rewritten duplicates produce
+        contents = {
+            uid: rng.integers(0, 60, size=rng.integers(1, 9)).astype(np.uint64)
+            for uid in range(20)
+        }
+        events = []
+        for _ in range(300):
+            k = 1 if rng.random() < 0.5 else int(rng.integers(2, 6))
+            events.append([(int(u), contents[int(u)]) for u in rng.integers(0, 20, size=k)])
+        cache = FingerprintPrefetchCache(capacity)
+        probe = np.arange(60, dtype=np.uint64)
+        for run, expected in zip(events, self._reference(events, capacity)):
+            if len(run) == 1:
+                cache.insert_unit(*run[0])
+            else:
+                cache.insert_units(run)
+            assert len(cache._derived) <= capacity
+            assert set(cache._derived) == set(cache._units)
+            got = cache.lookup_many(probe).tolist()
+            assert got == [expected.get(f, -1) for f in range(60)]
+        assert cache.stats.units_evicted > 50
