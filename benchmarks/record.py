@@ -1,26 +1,29 @@
-"""Record the ingest and restore benchmarks into BENCH_*.json.
+"""Record the committed bench gates into BENCH_<name>.json.
 
 Run from the repo root::
 
-    PYTHONPATH=src python benchmarks/record.py [--repeats N] [--out PATH]
+    PYTHONPATH=src python benchmarks/record.py [--repeats N] [--out-dir DIR]
+        [--only NAME ...]
 
-Measures, in one sitting:
+Measures every gate of ``repro.bench.GATES`` in table order (or only
+the ones ``--only`` names) and writes each as ``DIR/BENCH_<name>.json``
+(default DIR: the repo root):
 
-* the in-process three-engine group ingest (fig4's body) through the
-  vectorized batch path and the scalar reference path,
-* the end-to-end ``python -m repro fig4 --scale small`` command both
+* ``ingest`` — the in-process three-engine group ingest (fig4's body)
+  through the vectorized batch path and the scalar reference path, plus
+  the end-to-end ``python -m repro fig4 --scale small`` command both
   ways (which adds the fixed interpreter + numpy start-up floor that no
-  ingest optimization can touch), and
-* the fig6-small all-generation restore from the DDFS-Like layout
-  through the default reader and the FAA + read-ahead reader (written
-  to ``BENCH_restore.json``), and
-* byte-level Gear CDC over a fixed random buffer — the narrow-lane
-  default path vs the exact 64-pass reference sweep (written to
-  ``BENCH_chunking.json`` via ``--chunking-out``), and
-* the sharded fingerprint index — 1-shard byte-identity plus routed
-  N-shard batched-lookup throughput (written to ``BENCH_shard.json``
-  via ``--shard-out``, including the absolute lookup floor the gate
-  enforces).
+  ingest optimization can touch),
+* ``restore`` — the fig6-small all-generation restore from the
+  DDFS-Like layout through the default reader and the FAA + read-ahead
+  reader,
+* ``chunking`` — byte-level Gear CDC over a fixed random buffer, the
+  narrow-lane default path vs the exact 64-pass reference sweep,
+* ``shard`` — 1-shard byte-identity plus routed N-shard batched-lookup
+  throughput, including the absolute lookup floor the gate enforces,
+* ``memory`` — only when named: a full xlarge out-of-core run in a
+  fresh subprocess; the committed budget becomes the measured peak
+  plus headroom (slow: minutes).
 
 The JSON it writes is the committed baseline that ``python -m repro
 bench`` gates wall-clock regressions against. With ``--append-history``
@@ -44,20 +47,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench import (  # noqa: E402
-    BASELINE_FILENAME,
-    CHUNKING_BASELINE_FILENAME,
+    GATES,
     HISTORY_FILENAME,
-    MEMORY_BASELINE_FILENAME,
-    RESTORE_BASELINE_FILENAME,
-    SHARD_BASELINE_FILENAME,
-    SHARD_LOOKUP_FLOOR_PER_S,
     append_history,
     history_record,
-    run_bench,
-    run_chunking_bench,
-    run_memory_bench,
-    run_restore_bench,
-    run_shard_bench,
 )
 
 
@@ -130,68 +123,87 @@ def time_workload_in(src: Path, repeats: int) -> float:
     return float(out.stdout.strip().splitlines()[-1])
 
 
-def main() -> int:
+def end_to_end_fields(args) -> dict:
+    """The ingest record's end-to-end fig4 command timings ({} with
+    ``--skip-end-to-end``)."""
+    if args.skip_end_to_end:
+        return {}
+    cmd = [sys.executable, "-m", "repro", "fig4", "--scale", "small"]
+    batch_s = time_command(cmd, args.repeats)
+    scalar_s = time_command(cmd + ["--scalar"], args.repeats)
+    return {
+        "fig4_small_end_to_end": {
+            "command": "python -m repro fig4 --scale small [--scalar]",
+            "batch_seconds": round(batch_s, 4),
+            "scalar_seconds": round(scalar_s, 4),
+            "speedup": round(scalar_s / batch_s, 2),
+            "note": (
+                "end-to-end includes the fixed interpreter + numpy import "
+                "floor (~0.2s) that ingest vectorization cannot remove; "
+                "the ingest record above isolates the simulation itself"
+            ),
+        }
+    }
+
+
+def reference_fields(args, record: dict) -> dict:
+    """``{"reference": ...}`` timing the ``--reference-src`` checkout
+    against the fresh ingest ``record`` ({} without the flag)."""
+    if not args.reference_src:
+        return {}
+    ref_src = Path(args.reference_src).resolve()
+    ref = {
+        "label": args.reference_label,
+        "workload_seconds": round(time_workload_in(ref_src, args.repeats), 4),
+    }
+    commit = reference_commit(ref_src)
+    if commit is not None:
+        ref["commit"] = commit
+    ref["workload_speedup"] = round(
+        ref["workload_seconds"] / record["ingest"]["batch_seconds"], 2
+    )
+    if "fig4_small_end_to_end" in record:
+        cmd = [sys.executable, "-m", "repro", "fig4", "--scale", "small"]
+        ref["end_to_end_seconds"] = round(
+            time_command(cmd, args.repeats, src=ref_src), 4
+        )
+        ref["end_to_end_speedup"] = round(
+            ref["end_to_end_seconds"]
+            / record["fig4_small_end_to_end"]["batch_seconds"],
+            2,
+        )
+    return {"reference": ref}
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--out", default=str(REPO_ROOT / BASELINE_FILENAME))
     parser.add_argument(
-        "--restore-out", default=str(REPO_ROOT / RESTORE_BASELINE_FILENAME)
+        "--out-dir",
+        default=str(REPO_ROOT),
+        help="directory the BENCH_<name>.json records are written to "
+        "(default: the repo root, i.e. the committed baselines)",
     )
     parser.add_argument(
-        "--skip-restore",
-        action="store_true",
-        help="do not (re)record the restore-path baseline",
-    )
-    parser.add_argument(
-        "--chunking-out", default=str(REPO_ROOT / CHUNKING_BASELINE_FILENAME)
-    )
-    parser.add_argument(
-        "--skip-chunking",
-        action="store_true",
-        help="do not (re)record the byte-level chunking baseline",
-    )
-    parser.add_argument(
-        "--shard-out", default=str(REPO_ROOT / SHARD_BASELINE_FILENAME)
-    )
-    parser.add_argument(
-        "--skip-shard",
-        action="store_true",
-        help="do not (re)record the sharded-index baseline",
+        "--only",
+        nargs="+",
+        choices=list(GATES),
+        default=None,
+        metavar="NAME",
+        help="record only these gates (default: every gate but the "
+        f"opt-in ones; choices: {', '.join(GATES)})",
     )
     parser.add_argument(
         "--skip-end-to-end",
         action="store_true",
-        help="only record the in-process ingest measurement",
-    )
-    parser.add_argument(
-        "--memory",
-        action="store_true",
-        help="also (re)record the bounded-RSS memory baseline: a full "
-        "xlarge out-of-core run in a fresh subprocess; the committed "
-        "budget becomes the measured peak plus headroom (slow: minutes)",
-    )
-    parser.add_argument(
-        "--memory-out", default=str(REPO_ROOT / MEMORY_BASELINE_FILENAME)
-    )
-    parser.add_argument(
-        "--memory-scale",
-        default="xlarge",
-        help="scale preset for --memory (default xlarge)",
-    )
-    parser.add_argument(
-        "--memory-headroom",
-        type=float,
-        default=2.0,
-        help="budget_rss_mb = measured peak RSS x this factor (default "
-        "2.0: generous enough for allocator/platform variance, tight "
-        "enough that an unbounded store blows through it)",
+        help="ingest: skip the end-to-end fig4 command timings",
     )
     parser.add_argument(
         "--reference-src",
         default=None,
         help="package root (…/src) of another checkout to time in the "
-        "same sitting — e.g. a pre-change tree — recorded under "
-        "'reference' with speedups relative to it",
+        "same sitting — e.g. a pre-change tree — recorded in the ingest "
+        "record under 'reference' with speedups relative to it",
     )
     parser.add_argument(
         "--reference-label",
@@ -210,127 +222,36 @@ def main() -> int:
         help="history file --append-history grows (default: the "
         "committed BENCH_history.jsonl)",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.only is not None:
+        names = [name for name in GATES if name in args.only]
+    else:
+        names = [name for name, gate in GATES.items() if not gate.opt_in]
+    if args.reference_src and "ingest" not in names:
+        parser.error("--reference-src times the ingest gate; add it to --only")
 
-    record = {
-        "recorded_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "ingest": run_bench(repeats=args.repeats),
-    }
-
-    if not args.skip_end_to_end:
-        cmd = [sys.executable, "-m", "repro", "fig4", "--scale", "small"]
-        batch_s = time_command(cmd, args.repeats)
-        scalar_s = time_command(cmd + ["--scalar"], args.repeats)
-        record["fig4_small_end_to_end"] = {
-            "command": "python -m repro fig4 --scale small [--scalar]",
-            "batch_seconds": round(batch_s, 4),
-            "scalar_seconds": round(scalar_s, 4),
-            "speedup": round(scalar_s / batch_s, 2),
-            "note": (
-                "end-to-end includes the fixed interpreter + numpy import "
-                "floor (~0.2s) that ingest vectorization cannot remove; "
-                "the ingest record above isolates the simulation itself"
-            ),
-        }
-
-    if args.reference_src:
-        ref_src = Path(args.reference_src).resolve()
-        ref = {
-            "label": args.reference_label,
-            "workload_seconds": round(
-                time_workload_in(ref_src, args.repeats), 4
-            ),
-        }
-        commit = reference_commit(ref_src)
-        if commit is not None:
-            ref["commit"] = commit
-        ref["workload_speedup"] = round(
-            ref["workload_seconds"] / record["ingest"]["batch_seconds"], 2
-        )
-        if not args.skip_end_to_end:
-            cmd = [sys.executable, "-m", "repro", "fig4", "--scale", "small"]
-            ref["end_to_end_seconds"] = round(
-                time_command(cmd, args.repeats, src=ref_src), 4
-            )
-            ref["end_to_end_speedup"] = round(
-                ref["end_to_end_seconds"]
-                / record["fig4_small_end_to_end"]["batch_seconds"],
-                2,
-            )
-        record["reference"] = ref
-
-    out = Path(args.out)
-    out.write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(record, indent=2))
-    print(f"\nwrote {out}")
-
-    restore_record = None
-    if not args.skip_restore:
-        restore_record = {
-            "recorded_utc": datetime.now(timezone.utc).isoformat(
-                timespec="seconds"
-            ),
-            "restore": run_restore_bench(repeats=args.repeats),
-        }
-        restore_out = Path(args.restore_out)
-        restore_out.write_text(json.dumps(restore_record, indent=2) + "\n")
-        print(json.dumps(restore_record, indent=2))
-        print(f"\nwrote {restore_out}")
-
-    chunking_record = None
-    if not args.skip_chunking:
-        chunking_record = {
-            "recorded_utc": datetime.now(timezone.utc).isoformat(
-                timespec="seconds"
-            ),
-            "chunking": run_chunking_bench(repeats=args.repeats),
-        }
-        chunking_out = Path(args.chunking_out)
-        chunking_out.write_text(json.dumps(chunking_record, indent=2) + "\n")
-        print(json.dumps(chunking_record, indent=2))
-        print(f"\nwrote {chunking_out}")
-
-    if not args.skip_shard:
-        shard = run_shard_bench(repeats=args.repeats)
-        shard["lookup_floor_per_s"] = SHARD_LOOKUP_FLOOR_PER_S
-        shard_record = {
-            "recorded_utc": datetime.now(timezone.utc).isoformat(
-                timespec="seconds"
-            ),
-            "shard": shard,
-        }
-        shard_out = Path(args.shard_out)
-        shard_out.write_text(json.dumps(shard_record, indent=2) + "\n")
-        print(json.dumps(shard_record, indent=2))
-        print(f"\nwrote {shard_out}")
-
-    memory_record = None
-    if args.memory:
-        probe = run_memory_bench(scale=args.memory_scale)
-        memory_record = {
-            "recorded_utc": datetime.now(timezone.utc).isoformat(
-                timespec="seconds"
-            ),
-            "budget_rss_mb": round(
-                probe["peak_rss_mb"] * args.memory_headroom, 1
-            ),
-            "memory": probe,
-        }
-        memory_out = Path(args.memory_out)
-        memory_out.write_text(json.dumps(memory_record, indent=2) + "\n")
-        print(json.dumps(memory_record, indent=2))
-        print(f"\nwrote {memory_out}")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    results = {}
+    recorded_utc = None
+    for name in names:
+        gate = GATES[name]
+        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        recorded_utc = recorded_utc or stamp
+        results[name] = gate.measure(quick=False, repeats=args.repeats)
+        record = {"recorded_utc": stamp, **gate.baseline(results[name])}
+        if name == "ingest":
+            record.update(end_to_end_fields(args))
+            record.update(reference_fields(args, record))
+        out = out_dir / gate.filename
+        out.write_text(json.dumps(record, indent=2) + "\n")
+        print(json.dumps(record, indent=2))
+        print(f"\nwrote {out}")
 
     if args.append_history:
-        ingest = record["ingest"]
-        line = history_record(
-            ingest=ingest,
-            restore=restore_record["restore"] if restore_record else None,
-            chunking=chunking_record["chunking"] if chunking_record else None,
-            memory=memory_record["memory"] if memory_record else None,
-            manifest=ingest.get("manifest"),
-        )
-        line["recorded_utc"] = record["recorded_utc"]
+        first = next(iter(results.values()))
+        line = history_record(manifest=first.get("manifest"), **results)
+        line["recorded_utc"] = recorded_utc
         history_path = append_history(line, Path(args.history_out))
         print(f"appended history line to {history_path}")
     return 0

@@ -8,8 +8,9 @@ stays within the committed 2x gate (``BENCH_restore.json``).
 """
 
 from repro.bench import (
+    GATES,
     check_restore_regression,
-    load_restore_baseline,
+    load_record,
     measure_restore,
     restore_fixture,
 )
@@ -39,7 +40,7 @@ def test_faa_prices_fewer_sim_seeks(bench_config):
 
 
 def test_committed_gate_passes(bench_config):
-    baseline = load_restore_baseline()
+    baseline = load_record(GATES["restore"].filename)
     assert baseline is not None, "BENCH_restore.json missing from repo root"
     store, recipes = restore_fixture(bench_config)
     measured = measure_restore(store, recipes, repeats=2)

@@ -1,26 +1,32 @@
-"""Wall-clock benchmarks of the ingest and restore paths.
+"""Wall-clock benchmarks and their committed gates.
 
 The simulator's *reported* numbers are simulated time and cannot change
 with Python-level optimizations; this module tracks the one thing that
-does change — how long the simulator itself takes to run. It measures
+does change — how long the simulator itself takes to run. Every gate is
+one row of :data:`GATES`: its name, its committed file
+(``BENCH_<name>.json`` at the repo root), the function that measures
+it, the check against the committed record, the line printed when it
+holds, and the fields it contributes to a perf-history line. The rows
+measure
 
-* the fig4 three-engine group workload at the ``small`` scale through
-  both ingest paths (the vectorized batch default and the
-  chunk-at-a-time scalar reference), and
-* the fig6 all-generation restore from a pre-ingested DDFS-Like store
-  (the most fragmented layout) through the default reader and the
-  FAA + read-ahead reader, and
-* byte-level CDC over a fixed random buffer through the Gear
-  narrow-lane default path and the exact 64-pass reference sweep (plus
-  the batch fingerprint fold),
+* ``ingest`` — the fig4 three-engine group workload at the ``small``
+  scale through both ingest paths (the vectorized batch default and the
+  chunk-at-a-time scalar reference),
+* ``restore`` — the fig6 all-generation restore from a pre-ingested
+  DDFS-Like store (the most fragmented layout) through the default
+  reader and the FAA + read-ahead reader,
+* ``chunking`` — byte-level CDC over a fixed random buffer through the
+  Gear narrow-lane default path and the exact 64-pass reference sweep
+  (plus the batch fingerprint fold); double-sided: the fast path must
+  stay within 2x of its own committed time *and* at least 5x faster
+  than the committed exact-path rate,
+* ``shard`` — 1-shard byte-identity and routed N-shard lookup
+  throughput of the sharded index, and
+* ``memory`` — peak RSS of the out-of-core pipeline against an absolute
+  budget (opt-in: ``repro bench --memory``).
 
-and compares each against a committed baseline so regressions fail
-loudly. The chunking gate is double-sided: the fast path must stay
-within 2x of its own committed time *and* at least 5x faster than the
-committed exact-path rate. Used by ``python -m repro bench`` and
-``benchmarks/record.py``; the committed records live in
-``BENCH_ingest.json``, ``BENCH_restore.json``, and
-``BENCH_chunking.json`` at the repo root.
+``python -m repro bench``, ``benchmarks/record.py`` and ``repro dash``
+all loop over the table, so adding a gate means adding a row.
 """
 
 from __future__ import annotations
@@ -28,45 +34,31 @@ from __future__ import annotations
 import json
 import platform
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from repro.experiments.common import clear_memo, run_group_workload
 from repro.experiments.config import ExperimentConfig
-
-#: default committed-baseline location (repo root)
-BASELINE_FILENAME = "BENCH_ingest.json"
-
-#: committed baseline for the restore-path measurement
-RESTORE_BASELINE_FILENAME = "BENCH_restore.json"
-
-#: committed baseline for the byte-level chunking measurement
-CHUNKING_BASELINE_FILENAME = "BENCH_chunking.json"
-
-#: committed bounded-RSS budget for the out-of-core memory bench
-MEMORY_BASELINE_FILENAME = "BENCH_memory.json"
-
-#: committed baseline for the sharded-index measurement
-SHARD_BASELINE_FILENAME = "BENCH_shard.json"
+from repro.memory import check_memory_gate
 
 #: absolute floor on routed N-shard batched-lookup throughput
 #: (fingerprints resolved per wall-clock second); the committed
 #: baseline can raise it but the gate never accepts less than this
 SHARD_LOOKUP_FLOOR_PER_S = 50_000.0
 
+#: scale the committed memory budget is measured at
+MEMORY_SCALE = "xlarge"
+
+#: committed budget_rss_mb = measured peak RSS x this factor: generous
+#: enough for allocator/platform variance, tight enough that an
+#: unbounded store blows through it
+MEMORY_HEADROOM = 2.0
+
 #: append-only perf trajectory: one compact JSON line per recorded run
 #: (grown by ``benchmarks/record.py --append-history``, plotted by
 #: ``repro dash``, annotated by ``repro bench``)
 HISTORY_FILENAME = "BENCH_history.jsonl"
-
-#: the headline metrics a history line tracks:
-#: key -> (display label, unit, True when lower is better)
-HISTORY_METRICS: Dict[str, tuple] = {
-    "ingest_batch_seconds": ("ingest (batch)", "s", True),
-    "restore_seconds": ("restore", "s", True),
-    "chunking_mb_per_s": ("chunking", "MB/s", False),
-    "peak_rss_mb": ("peak RSS (memory bench)", "MB", True),
-}
 
 #: relative change below this reads as noise, not drift
 DRIFT_EPSILON = 0.02
@@ -317,14 +309,6 @@ def run_chunking_bench(
     return result
 
 
-def load_chunking_baseline(path: Optional[Path] = None) -> Optional[Dict]:
-    """The committed chunking baseline record, or None when absent."""
-    p = Path(path) if path is not None else Path(CHUNKING_BASELINE_FILENAME)
-    if not p.is_file():
-        return None
-    return json.loads(p.read_text())
-
-
 def check_chunking_regression(
     result: Dict,
     baseline: Dict,
@@ -472,14 +456,6 @@ def run_restore_bench(*, repeats: int = 3, faa: bool = True) -> Dict:
     return result
 
 
-def load_restore_baseline(path: Optional[Path] = None) -> Optional[Dict]:
-    """The committed restore baseline record, or None when absent."""
-    p = Path(path) if path is not None else Path(RESTORE_BASELINE_FILENAME)
-    if not p.is_file():
-        return None
-    return json.loads(p.read_text())
-
-
 def check_restore_regression(
     result: Dict, baseline: Dict, factor: float = REGRESSION_FACTOR
 ) -> Optional[str]:
@@ -497,22 +473,14 @@ def check_restore_regression(
     return None
 
 
-def load_baseline(path: Optional[Path] = None) -> Optional[Dict]:
-    """The committed baseline record, or None when absent."""
-    p = Path(path) if path is not None else Path(BASELINE_FILENAME)
-    if not p.is_file():
-        return None
-    return json.loads(p.read_text())
-
-
 # -- bounded-RSS memory bench ------------------------------------------------
 
 
 def run_memory_bench(
-    scale: str = "xlarge",
+    scale: str = MEMORY_SCALE,
     *,
     generations: Optional[int] = None,
-    resident_containers: int = 64,
+    resident_containers: Optional[int] = None,
     timeout_s: float = 3600.0,
 ) -> Dict:
     """Run the out-of-core probe in a **fresh subprocess** and return its
@@ -526,15 +494,9 @@ def run_memory_bench(
     import subprocess
     import sys
 
-    cmd = [
-        sys.executable,
-        "-m",
-        "repro.memory",
-        "--scale",
-        scale,
-        "--resident-containers",
-        str(int(resident_containers)),
-    ]
+    cmd = [sys.executable, "-m", "repro.memory", "--scale", scale]
+    if resident_containers is not None:
+        cmd += ["--resident-containers", str(int(resident_containers))]
     if generations is not None:
         cmd += ["--generations", str(int(generations))]
     proc = subprocess.run(
@@ -547,22 +509,6 @@ def run_memory_bench(
     record = json.loads(proc.stdout)
     record["manifest"] = _bench_manifest()
     return record
-
-
-def load_memory_baseline(path: Optional[Path] = None) -> Optional[Dict]:
-    """The committed memory budget record, or None when absent."""
-    p = Path(path) if path is not None else Path(MEMORY_BASELINE_FILENAME)
-    if not p.is_file():
-        return None
-    return json.loads(p.read_text())
-
-
-def check_memory_regression(result: Dict, baseline: Dict) -> Optional[str]:
-    """The bounded-RSS gate (absolute budget, not a regression factor —
-    see :func:`repro.memory.check_memory_gate`)."""
-    from repro.memory import check_memory_gate
-
-    return check_memory_gate(result, baseline)
 
 
 def run_shard_bench(
@@ -663,14 +609,6 @@ def run_shard_bench(
     }
 
 
-def load_shard_baseline(path: Optional[Path] = None) -> Optional[Dict]:
-    """The committed shard baseline record, or None when absent."""
-    p = Path(path) if path is not None else Path(SHARD_BASELINE_FILENAME)
-    if not p.is_file():
-        return None
-    return json.loads(p.read_text())
-
-
 def check_shard_regression(
     result: Dict,
     baseline: Dict,
@@ -744,43 +682,234 @@ def check_regression(
     return None
 
 
+# -- the gate table ---------------------------------------------------------
+
+
+def load_record(path: Union[str, Path]) -> Optional[Dict]:
+    """The committed bench record at ``path``, or None when absent."""
+    p = Path(path)
+    if not p.is_file():
+        return None
+    return json.loads(p.read_text())
+
+
+class Headline(NamedTuple):
+    """The one number of a gate that history, drift and the dashboard
+    track: result ``field`` stored under history ``key``."""
+
+    field: str
+    key: str
+    label: str
+    unit: str
+    lower_is_better: bool
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One committed bench gate.
+
+    ``measure(quick=, repeats=, **options)`` returns a fresh result;
+    options it does not take (``jobs``, ``scale``, ...) are ignored.
+    ``check(result, baseline)`` returns a failure message or None and
+    accepts the committed file record or its inner ``name`` dict (for
+    memory, whose budget sits at the top of the file, the bare budget).
+    ``ok_line(result, baseline)`` is printed when the check holds.
+    """
+
+    name: str
+    measure: Callable[..., Dict]
+    check: Callable[[Dict, Dict], Optional[str]]
+    ok_line: Callable[[Dict, Dict], str]
+    #: tracked in history lines (None: the gate adds nothing to them)
+    headline: Optional[Headline] = None
+    #: secondary ``(history key, result field)`` pairs, copied when present
+    extras: Tuple[Tuple[str, str], ...] = ()
+    #: the committed headline is a ``repro dash`` stat tile
+    tile: bool = False
+    #: measured only when named (``repro bench --memory``, ``--only``)
+    opt_in: bool = False
+    #: committed file body for a fresh result (default ``{name: result}``)
+    wrap: Optional[Callable[[Dict], Dict]] = None
+
+    @property
+    def filename(self) -> str:
+        return f"BENCH_{self.name}.json"
+
+    def baseline(self, result: Dict) -> Dict:
+        """What ``benchmarks/record.py`` commits for ``result``, after
+        its ``recorded_utc`` stamp."""
+        return self.wrap(result) if self.wrap else {self.name: result}
+
+    def history(self, result: Dict) -> Dict:
+        """This gate's fields of a history line."""
+        out: Dict = {}
+        if self.headline:
+            out[self.headline.key] = result.get(self.headline.field)
+        for key, field in self.extras:
+            if field in result:
+                out[key] = result[field]
+        return out
+
+
+def _ingest_ok(result: Dict, baseline: Dict) -> str:
+    base = baseline.get("ingest", baseline).get("batch_seconds")
+    return (
+        f"OK: ingest within 2x of committed baseline ({base}s)\n"
+        + reference_summary(baseline)
+    )
+
+
+def _restore_ok(result: Dict, baseline: Dict) -> str:
+    base = baseline.get("restore", baseline).get("restore_seconds")
+    return f"OK: restore within 2x of committed baseline ({base}s)"
+
+
+def _chunking_ok(result: Dict, baseline: Dict) -> str:
+    rec = baseline.get("chunking", baseline)
+    return (
+        "OK: narrow-lane chunking within 2x of committed baseline "
+        f"({rec.get('seqcdc_seconds')}s) and "
+        f">={CHUNKING_SPEEDUP_FLOOR:.0f}x the committed "
+        f"exact-path rate ({rec.get('exact_mb_per_s')} MB/s)"
+    )
+
+
+def _shard_ok(result: Dict, baseline: Dict) -> str:
+    rec = baseline.get("shard", baseline)
+    return (
+        "OK: 1-shard wrapper byte-identical, routed lookups "
+        f"within 2x of committed baseline "
+        f"({rec.get('lookup_seconds')}s) and above the "
+        f"{rec.get('lookup_floor_per_s')}/s floor"
+    )
+
+
+def _memory_ok(result: Dict, baseline: Dict) -> str:
+    return (
+        f"OK: peak RSS {result['peak_rss_mb']:.1f} MB within the committed "
+        f"budget ({baseline['budget_rss_mb']:.1f} MB)"
+    )
+
+
+#: every committed gate, in measure/print order
+GATES: Dict[str, Gate] = {
+    gate.name: gate
+    for gate in (
+        Gate(
+            "ingest",
+            measure=lambda quick, repeats, jobs=None, **_: run_bench(
+                repeats=repeats, scalar=not quick, jobs=jobs
+            ),
+            check=check_regression,
+            ok_line=_ingest_ok,
+            headline=Headline(
+                "batch_seconds", "ingest_batch_seconds", "ingest (batch)", "s", True
+            ),
+            extras=(
+                ("ingest_scalar_seconds", "scalar_seconds"),
+                ("ingest_speedup", "speedup"),
+            ),
+            tile=True,
+        ),
+        Gate(
+            "restore",
+            measure=lambda quick, repeats, **_: run_restore_bench(
+                repeats=repeats, faa=not quick
+            ),
+            check=check_restore_regression,
+            ok_line=_restore_ok,
+            headline=Headline(
+                "restore_seconds", "restore_seconds", "restore", "s", True
+            ),
+            extras=(("restore_faa_seconds", "faa_seconds"),),
+            tile=True,
+        ),
+        Gate(
+            "chunking",
+            measure=lambda quick, repeats, **_: run_chunking_bench(
+                repeats=repeats, exact=not quick
+            ),
+            check=check_chunking_regression,
+            ok_line=_chunking_ok,
+            headline=Headline(
+                "seqcdc_mb_per_s", "chunking_mb_per_s", "chunking", "MB/s", False
+            ),
+            extras=(("chunking_speedup", "speedup"),),
+            tile=True,
+        ),
+        Gate(
+            "shard",
+            measure=lambda quick, repeats, **_: run_shard_bench(repeats=repeats),
+            check=check_shard_regression,
+            ok_line=_shard_ok,
+            wrap=lambda result: {
+                "shard": {**result, "lookup_floor_per_s": SHARD_LOOKUP_FLOOR_PER_S}
+            },
+        ),
+        Gate(
+            "memory",
+            measure=lambda quick, repeats, scale=MEMORY_SCALE, **options: (
+                run_memory_bench(
+                    scale,
+                    generations=options.get("generations"),
+                    resident_containers=options.get("resident_containers"),
+                )
+            ),
+            check=check_memory_gate,
+            ok_line=_memory_ok,
+            headline=Headline(
+                "peak_rss_mb", "peak_rss_mb", "peak RSS (memory bench)", "MB", True
+            ),
+            extras=(("memory_logical_bytes", "logical_bytes"),),
+            opt_in=True,
+            wrap=lambda result: {
+                "budget_rss_mb": round(result["peak_rss_mb"] * MEMORY_HEADROOM, 1),
+                "memory": result,
+            },
+        ),
+    )
+}
+
+
+def check_gate(gate: Gate, result: Dict, root: Union[str, Path] = ".") -> Tuple[str, str]:
+    """``(status, line)`` for ``result`` against the gate's committed
+    file under ``root``: status is ``"skip"`` (no committed file),
+    ``"fail"`` or ``"pass"``; line is what ``repro bench`` prints."""
+    baseline = load_record(Path(root) / gate.filename)
+    if baseline is None:
+        return "skip", f"no committed {gate.filename} found; skipping {gate.name} gate"
+    failure = gate.check(result, baseline)
+    if failure is not None:
+        return "fail", f"FAIL: {failure}"
+    return "pass", gate.ok_line(result, baseline)
+
+
 # -- perf-trajectory history ------------------------------------------------
 
+#: the headline metrics a history line tracks:
+#: key -> (display label, unit, True when lower is better)
+HISTORY_METRICS: Dict[str, tuple] = {
+    g.headline.key: (g.headline.label, g.headline.unit, g.headline.lower_is_better)
+    for g in GATES.values()
+    if g.headline
+}
 
-def history_record(
-    ingest: Optional[Dict] = None,
-    restore: Optional[Dict] = None,
-    chunking: Optional[Dict] = None,
-    memory: Optional[Dict] = None,
-    manifest: Optional[Dict] = None,
-) -> Dict:
-    """One compact history line from full bench records.
+
+def history_record(manifest: Optional[Dict] = None, **results: Optional[Dict]) -> Dict:
+    """One compact history line from fresh results keyed by gate name
+    (``history_record(ingest=..., restore=..., manifest=...)``).
 
     Only the headline numbers survive (``HISTORY_METRICS`` plus a few
     secondary figures) so the file stays a few hundred bytes per run
     while the dashboard can still plot every trajectory.
     """
-    out: Dict = {}
-    if manifest:
-        out.update(manifest)
-    if ingest:
-        out["ingest_batch_seconds"] = ingest.get("batch_seconds")
-        if "scalar_seconds" in ingest:
-            out["ingest_scalar_seconds"] = ingest["scalar_seconds"]
-        if "speedup" in ingest:
-            out["ingest_speedup"] = ingest["speedup"]
-    if restore:
-        out["restore_seconds"] = restore.get("restore_seconds")
-        if "faa_seconds" in restore:
-            out["restore_faa_seconds"] = restore["faa_seconds"]
-    if chunking:
-        out["chunking_mb_per_s"] = chunking.get("seqcdc_mb_per_s")
-        if "speedup" in chunking:
-            out["chunking_speedup"] = chunking["speedup"]
-    if memory:
-        out["peak_rss_mb"] = memory.get("peak_rss_mb")
-        if "logical_bytes" in memory:
-            out["memory_logical_bytes"] = memory["logical_bytes"]
+    unknown = set(results) - set(GATES)
+    if unknown:
+        raise TypeError(f"no bench gate named {sorted(unknown)}")
+    out: Dict = dict(manifest or {})
+    for gate in GATES.values():
+        if results.get(gate.name):
+            out.update(gate.history(results[gate.name]))
     return out
 
 

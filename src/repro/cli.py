@@ -66,16 +66,35 @@ _FLOAT_FMT = {
 }
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be >= 1: a bad value becomes a
-    one-line usage error instead of a traceback or a vacuous run."""
+def _bounded(text: str, kind: type, lo, hi=None):
+    """Parse ``text`` as ``kind`` within ``[lo, hi]``: a bad value
+    becomes a one-line usage error instead of a traceback, a vacuous
+    run, or a failed cell after the fork."""
     try:
-        value = int(text)
+        value = kind(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(
+            f"invalid {kind.__name__} value: {text!r}"
+        ) from None
+    if not (lo <= value and (hi is None or value <= hi)):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1."""
+    return _bounded(text, int, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for sizes where 0 means off."""
+    return _bounded(text, int, 0)
+
+
+def _unit_float(text: str) -> float:
+    """argparse type for fractions in [0, 1]."""
+    return _bounded(text, float, 0, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         + ["all", "report", "bench", "trace", "stats", "dash", "chaos"],
         help="which figure/ablation to regenerate ('all' runs fig2..fig6; "
         "'report' renders everything as one markdown document; 'bench' "
-        "times the ingest path against the committed baseline; 'trace' "
+        "times every gated path against its committed baseline; 'trace' "
         "reruns one figure with observability on; 'stats' prints the "
         "last trace's metrics snapshot; 'dash' renders a standalone "
         "HTML dashboard from trace snapshots, committed bench "
@@ -126,7 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="workload seed override")
     parser.add_argument(
-        "--alpha", type=float, default=None, help="DeFrag SPL threshold override"
+        "--alpha",
+        type=_unit_float,
+        default=None,
+        help="DeFrag SPL threshold override, in [0, 1]",
     )
     parser.add_argument(
         "--jobs",
@@ -154,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     restore.add_argument(
         "--faa-window",
-        type=int,
+        type=_non_negative_int,
         default=None,
         metavar="CHUNKS",
         help="forward-assembly-area window in chunks (0 = off; each "
@@ -199,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     spill = parser.add_argument_group("out-of-core options")
     spill.add_argument(
         "--resident-containers",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="cap sealed containers held in RAM at N; the rest spill to "
@@ -233,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--no-baseline",
         action="store_true",
-        help="bench: skip the regression gate against the committed "
-        "BENCH_ingest.json",
+        help="bench: measure only; skip the gates against the committed "
+        "BENCH_*.json",
     )
     bench.add_argument(
         "--memory",
@@ -423,153 +445,53 @@ def _run_stats(args: argparse.Namespace) -> int:
 
 
 def _run_bench(args: argparse.Namespace) -> int:
-    """``python -m repro bench``: time the ingest and restore paths;
-    exit non-zero if either regressed more than 2x against its committed
-    baseline."""
+    """``python -m repro bench``: measure every gate of
+    :data:`repro.bench.GATES` (or, with ``--memory``, only the
+    bounded-RSS gate) and check each against its committed
+    ``BENCH_<name>.json`` in the cwd; exit 1 if any check fails.
+
+    The memory gate runs the out-of-core probe in a fresh subprocess (so
+    ``ru_maxrss`` measures that workload alone) at ``--scale``, default
+    the scale its budget was measured at."""
     import json
 
     from repro.bench import (
-        CHUNKING_SPEEDUP_FLOOR,
-        check_chunking_regression,
-        check_regression,
-        check_restore_regression,
-        check_shard_regression,
+        GATES,
+        MEMORY_SCALE,
+        check_gate,
         drift_summary,
         history_record,
-        load_baseline,
-        load_chunking_baseline,
         load_history,
-        load_restore_baseline,
-        load_shard_baseline,
-        reference_summary,
-        run_bench,
-        run_chunking_bench,
-        run_restore_bench,
-        run_shard_bench,
     )
 
     if args.memory:
-        return _run_memory_bench(args)
-    repeats = 1 if args.quick else 3
-    result = run_bench(
-        repeats=repeats,
-        scalar=not args.quick,
-        jobs=args.jobs if args.jobs > 1 else None,
-    )
-    print(json.dumps(result, indent=2))
-    restore_result = run_restore_bench(repeats=repeats, faa=not args.quick)
-    print(json.dumps(restore_result, indent=2))
-    chunking_result = run_chunking_bench(repeats=repeats, exact=not args.quick)
-    print(json.dumps(chunking_result, indent=2))
-    shard_result = run_shard_bench(repeats=repeats)
-    print(json.dumps(shard_result, indent=2))
+        gates = [GATES["memory"]]
+    else:
+        gates = [gate for gate in GATES.values() if not gate.opt_in]
+    results = {}
+    for gate in gates:
+        results[gate.name] = gate.measure(
+            quick=args.quick,
+            repeats=1 if args.quick else 3,
+            jobs=args.jobs if args.jobs > 1 else None,
+            scale=args.scale if args.scale != "default" else MEMORY_SCALE,
+            generations=args.generations,
+            resident_containers=args.resident_containers,
+        )
+        print(json.dumps(results[gate.name], indent=2))
     if args.no_baseline:
         return 0
     exit_code = 0
-    baseline = load_baseline()
-    if baseline is None:
-        print("no committed BENCH_ingest.json found; skipping regression gate")
-    else:
-        failure = check_regression(result, baseline)
-        if failure is not None:
-            print(f"FAIL: {failure}")
+    for gate in gates:
+        status, line = check_gate(gate, results[gate.name])
+        print(line)
+        if status == "fail":
             exit_code = 1
-        else:
-            base = baseline.get("ingest", baseline).get("batch_seconds")
-            print(f"OK: ingest within 2x of committed baseline ({base}s)")
-            print(reference_summary(baseline))
-    restore_baseline = load_restore_baseline()
-    if restore_baseline is None:
-        print("no committed BENCH_restore.json found; skipping restore gate")
-    else:
-        failure = check_restore_regression(restore_result, restore_baseline)
-        if failure is not None:
-            print(f"FAIL: {failure}")
-            exit_code = 1
-        else:
-            base = restore_baseline.get("restore", restore_baseline).get(
-                "restore_seconds"
-            )
-            print(f"OK: restore within 2x of committed baseline ({base}s)")
-    chunking_baseline = load_chunking_baseline()
-    if chunking_baseline is None:
-        print("no committed BENCH_chunking.json found; skipping chunking gate")
-    else:
-        failure = check_chunking_regression(chunking_result, chunking_baseline)
-        if failure is not None:
-            print(f"FAIL: {failure}")
-            exit_code = 1
-        else:
-            rec = chunking_baseline.get("chunking", chunking_baseline)
-            print(
-                "OK: narrow-lane chunking within 2x of committed baseline "
-                f"({rec.get('seqcdc_seconds')}s) and "
-                f">={CHUNKING_SPEEDUP_FLOOR:.0f}x the committed "
-                f"exact-path rate ({rec.get('exact_mb_per_s')} MB/s)"
-            )
-    shard_baseline = load_shard_baseline()
-    if shard_baseline is None:
-        print("no committed BENCH_shard.json found; skipping shard gate")
-    else:
-        failure = check_shard_regression(shard_result, shard_baseline)
-        if failure is not None:
-            print(f"FAIL: {failure}")
-            exit_code = 1
-        else:
-            rec = shard_baseline.get("shard", shard_baseline)
-            print(
-                "OK: 1-shard wrapper byte-identical, routed lookups "
-                f"within 2x of committed baseline "
-                f"({rec.get('lookup_seconds')}s) and above the "
-                f"{rec.get('lookup_floor_per_s')}/s floor"
-            )
     history = load_history()
     if history:
-        current = history_record(
-            ingest=result, restore=restore_result, chunking=chunking_result
-        )
-        for line in drift_summary(current, history):
+        for line in drift_summary(history_record(**results), history):
             print(f"drift: {line}")
     return exit_code
-
-
-def _run_memory_bench(args: argparse.Namespace) -> int:
-    """``python -m repro bench --memory``: the bounded-RSS gate.
-
-    Runs the out-of-core probe in a fresh subprocess (so ``ru_maxrss``
-    measures this workload alone) at ``--scale`` (default: xlarge, the
-    scale the committed budget was measured at) and fails if peak RSS
-    exceeds the BENCH_memory.json budget."""
-    import json
-
-    from repro.bench import run_memory_bench
-    from repro.memory import check_memory_gate, load_memory_budget
-
-    scale = args.scale if args.scale != "default" else "xlarge"
-    resident = (
-        args.resident_containers if args.resident_containers is not None else 64
-    )
-    record = run_memory_bench(
-        scale=scale,
-        generations=args.generations,
-        resident_containers=resident,
-    )
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if args.no_baseline:
-        return 0
-    baseline = load_memory_budget()
-    if baseline is None:
-        print("no committed BENCH_memory.json found; skipping memory gate")
-        return 0
-    failure = check_memory_gate(record, baseline)
-    if failure is not None:
-        print(f"FAIL: {failure}")
-        return 1
-    print(
-        f"OK: peak RSS {record['peak_rss_mb']:.1f} MB within the committed "
-        f"budget ({baseline['budget_rss_mb']:.1f} MB)"
-    )
-    return 0
 
 
 def _run_dash(args: argparse.Namespace) -> int:

@@ -218,7 +218,7 @@ class DDFSEngine(DedupEngine):
         cache = self.cache
         touch = cache.touch_unit
         index = self.res.index
-        peek = index._map.get  # bound peek fast path; fps already ints
+        peek = index.probe()  # per-chunk peek; fps already ints
         index_lookup = index.lookup
         index_insert = index.insert
         store_append = self.res.store.append
@@ -361,7 +361,7 @@ class DDFSEngine(DedupEngine):
         cache = self.cache
         touch = cache.touch_unit
         index = self.res.index
-        peek = index._map.get  # bound peek fast path; fps already ints
+        peek = index.probe()  # per-chunk peek; fps already ints
         index_lookup = index.lookup
         stream = self._stream_new
         stream_get = stream.get

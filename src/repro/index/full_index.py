@@ -13,7 +13,7 @@ engine's per-chunk CPU constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -346,6 +346,13 @@ class DiskChunkIndex:
     def peek(self, fp: int) -> Optional[ChunkLocation]:
         """Location without any disk charge (oracle/bookkeeping use)."""
         return self._map.get(int(fp))
+
+    def probe(self) -> Callable[[int], Optional[ChunkLocation]]:
+        """:meth:`peek` as a bound ``dict.get`` for a per-chunk loop over
+        int fingerprints. It sees every later insert and update but not a
+        :meth:`load_recovered`, which replaces the map: fetch it again
+        per segment instead of caching it across backups."""
+        return self._map.get
 
     @property
     def disk_bytes(self) -> int:

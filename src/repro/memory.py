@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 from typing import Dict, Optional
 
-__all__ = ["run_memory_probe", "load_memory_budget", "main"]
+__all__ = ["run_memory_probe", "check_memory_gate", "main"]
 
 #: default resident-container budget for the memory probe: enough for
 #: ingest locality (DeFrag/DDFS touch recent containers), tiny against
@@ -173,14 +173,6 @@ def run_memory_probe(
             tmp.cleanup()
 
 
-def load_memory_budget(path: str = "BENCH_memory.json") -> Optional[Dict]:
-    """The committed memory-bench baseline, or None if absent."""
-    p = Path(path)
-    if not p.is_file():
-        return None
-    return json.loads(p.read_text())
-
-
 def check_memory_gate(record: Dict, baseline: Dict) -> Optional[str]:
     """The bounded-RSS gate: peak RSS must stay under the committed
     budget (an absolute ceiling, not a regression factor — "bounded"
@@ -249,7 +241,9 @@ def main(argv: Optional[list] = None) -> int:
     print(text)
 
     if args.gate is not None:
-        baseline = load_memory_budget(args.gate)
+        from repro.bench import load_record
+
+        baseline = load_record(args.gate)
         if baseline is None:
             print(f"memory gate: no baseline at {args.gate}", file=sys.stderr)
             return 2

@@ -29,12 +29,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bench import (
-    BASELINE_FILENAME,
-    CHUNKING_BASELINE_FILENAME,
+    GATES,
     HISTORY_FILENAME,
     HISTORY_METRICS,
-    RESTORE_BASELINE_FILENAME,
+    Headline,
     load_history,
+    load_record,
 )
 
 __all__ = ["build_dashboard", "render_dashboard"]
@@ -144,17 +144,13 @@ def build_dashboard(
             }
         )
     bench = {}
-    for key, fname in (
-        ("ingest", BASELINE_FILENAME),
-        ("restore", RESTORE_BASELINE_FILENAME),
-        ("chunking", CHUNKING_BASELINE_FILENAME),
-    ):
-        f = rootp / fname
-        if f.is_file():
-            try:
-                bench[key] = json.loads(f.read_text())
-            except json.JSONDecodeError:
-                pass
+    for name, filename, _ in _tiles():
+        try:
+            record = load_record(rootp / filename)
+        except json.JSONDecodeError:
+            continue
+        if record is not None:
+            bench[name] = record
     history = load_history(rootp / HISTORY_FILENAME)
     text = render_dashboard(runs=runs, bench=bench, history=history)
     outp = Path(out)
@@ -203,21 +199,20 @@ def render_dashboard(
 # -- sections ---------------------------------------------------------------
 
 
+def _tiles() -> List[Tuple[str, str, Headline]]:
+    """``(gate name, committed file, headline)`` of every bench gate
+    whose committed headline is a stat tile."""
+    return [(g.name, g.filename, g.headline) for g in GATES.values() if g.tile and g.headline]
+
+
 def _tiles_section(bench: Dict, history: List[Dict]) -> List[str]:
     """Stat tiles: the committed headline numbers, each with a delta and
     a trend sparkline against the recorded history."""
     tiles: List[str] = []
-    specs = (
-        ("ingest", "ingest", "batch_seconds", "ingest_batch_seconds"),
-        ("restore", "restore", "restore_seconds", "restore_seconds"),
-        ("chunking", "chunking", "seqcdc_mb_per_s", "chunking_mb_per_s"),
-    )
-    for bench_key, inner, field, hist_key in specs:
-        record = bench.get(bench_key, {}).get(inner, {})
-        value = record.get(field)
+    for name, _, (field, hist_key, label, unit, lower_is_better) in _tiles():
+        value = bench.get(name, {}).get(name, {}).get(field)
         if value is None:
             continue
-        label, unit, lower_is_better = HISTORY_METRICS[hist_key]
         series = [r[hist_key] for r in history if r.get(hist_key) is not None]
         delta_html = ""
         prior = [v for v in series if v != value]

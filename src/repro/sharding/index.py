@@ -5,7 +5,7 @@
 :class:`~repro.sharding.router.ShardRouter` and re-presents the whole
 ensemble through the exact interface engines already consume — lookups,
 batched lookups, inserts/updates, the out-of-line sorted sweep, the
-journaled flush/crash/recovery cycle, ``peek``/``__contains__``, and a
+journaled flush/crash/recovery cycle, ``peek``/``probe``/``__contains__``, and a
 live aggregated :class:`~repro.index.full_index.IndexStats`.
 
 Contract highlights:
@@ -33,7 +33,7 @@ Contract highlights:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -42,36 +42,6 @@ from repro.index.full_index import ChunkLocation, DiskChunkIndex, IndexStats
 from repro.sharding.router import ShardRouter
 
 __all__ = ["ShardedChunkIndex"]
-
-
-class _RoutedMapView:
-    """Read-only dict-like view over the shards' maps.
-
-    Engines use ``index._map.get`` as a free peek fast path (DDFS's
-    batch ladder); this view keeps that idiom working by routing each
-    probe to the owning shard.
-    """
-
-    __slots__ = ("_router", "_shards")
-
-    def __init__(self, router: ShardRouter, shards: Sequence[DiskChunkIndex]):
-        self._router = router
-        self._shards = shards
-
-    def get(self, fp, default=None):
-        return self._shards[self._router.shard_of(int(fp))]._map.get(
-            int(fp), default
-        )
-
-    def __contains__(self, fp) -> bool:
-        return int(fp) in self._shards[self._router.shard_of(int(fp))]._map
-
-    def __len__(self) -> int:
-        return sum(len(s._map) for s in self._shards)
-
-    def items(self):
-        for shard in self._shards:
-            yield from shard._map.items()
 
 
 class ShardedChunkIndex:
@@ -101,10 +71,6 @@ class ShardedChunkIndex:
         self.stats: IndexStats = first.stats
         for shard in self.shards[1:]:
             shard.stats = self.stats
-        if self.n_shards == 1:
-            self._map = first._map
-        else:
-            self._map = _RoutedMapView(router, self.shards)
         self._obs_prefix = obs_prefix
 
     # ------------------------------------------------------------------
@@ -177,6 +143,16 @@ class ShardedChunkIndex:
 
     def peek(self, fp: int) -> Optional[ChunkLocation]:
         return self.shards[self.router.shard_of(int(fp))].peek(fp)
+
+    def probe(self) -> Callable[[int], Optional[ChunkLocation]]:
+        """:meth:`peek` for a per-chunk loop over int fingerprints: one
+        shard's own probe, or a routed one over every shard's. Same
+        lifetime as :meth:`DiskChunkIndex.probe`: fetch it per segment."""
+        if self.n_shards == 1:
+            return self.shards[0].probe()
+        shard_of = self.router.shard_of
+        probes = [shard.probe() for shard in self.shards]
+        return lambda fp: probes[shard_of(fp)](fp)
 
     # -- obs (twin-run contract: counters only, never behavior) ----------
 

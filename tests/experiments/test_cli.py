@@ -45,6 +45,7 @@ class TestParser:
             (["chaos", "--crash-points", "0"], "--crash-points"),
             (["chaos", "--crash-points", "-3"], "--crash-points"),
             (["fig4", "--shards", "0"], "--shards"),
+            (["fig2", "--resident-containers", "0"], "--resident-containers"),
         ],
     )
     def test_counts_below_one_are_usage_errors(self, argv, flag, capsys):
@@ -59,6 +60,31 @@ class TestParser:
         assert errors == [f"defrag-repro: error: argument {flag}: must be >= 1, "
                           f"got {argv[-1]}"]
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fig4", "--alpha", "1.5"], "argument --alpha: must be in [0, 1], got 1.5"),
+            (["fig4", "--alpha", "-0.1"], "argument --alpha: must be in [0, 1], got -0.1"),
+            (["fig4", "--alpha", "nan"], "argument --alpha: must be in [0, 1], got nan"),
+            (["fig6", "--faa-window", "-5"], "argument --faa-window: must be >= 0, got -5"),
+        ],
+    )
+    def test_out_of_range_values_are_usage_errors(self, argv, message, capsys):
+        """Rejected before any cell forks, not as a failed cell after."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [f"defrag-repro: error: {message}"]
+
+    def test_range_bounds_accepted(self):
+        args = build_parser().parse_args(
+            ["fig6", "--alpha", "1", "--faa-window", "0", "--resident-containers", "1"]
+        )
+        assert (args.alpha, args.faa_window, args.resident_containers) == (1.0, 0, 1)
 
     def test_positive_counts_accepted(self):
         args = build_parser().parse_args(["chaos", "--crash-points", "1", "--shards", "2"])

@@ -3,11 +3,12 @@
 Pins the three contract planks of ``repro.sharding.index``: 1-shard
 byte-identity (answers, stats, simulated clock), N-shard answer
 equivalence, and the single live stats object all shards share. Plus
-the mechanics: the routed ``_map`` view, ensemble ``page_of``/
+the mechanics: the public ``probe`` peek, ensemble ``page_of``/
 ``n_pages``, and the journaled flush/crash/load_recovered cycle.
 """
 
 import numpy as np
+import pytest
 
 from repro.index.full_index import ChunkLocation, DiskChunkIndex
 from repro.sharding import ShardedChunkIndex
@@ -50,9 +51,9 @@ class TestOneShardDegeneracy:
         one = drive(make_sharded(1))
         assert plain == one
 
-    def test_one_shard_exposes_the_real_map(self):
+    def test_one_shard_probe_is_the_shard_probe(self):
         index = make_sharded(1)
-        assert index._map is index.shards[0]._map
+        assert index.probe() == index.shards[0].probe()
 
 
 class TestAnswerEquivalence:
@@ -93,18 +94,23 @@ class TestSharedStats:
 
 
 class TestMapViewAndPages:
-    def test_routed_map_view_matches_peek(self):
+    def test_routed_probe_matches_peek(self):
         index = make_sharded(3)
         fps = [fp * 271 for fp in range(1, 200)]
         index.insert_many(fps, [ChunkLocation(fp, 2) for fp in fps])
+        probe = index.probe()
         for fp in fps:
-            assert index._map.get(fp) == index.peek(fp)
-            assert fp in index._map
-        assert index._map.get(10**16) is None
-        assert len(index._map) == len(fps)
-        assert dict(index._map.items()) == {
-            fp: ChunkLocation(fp, 2) for fp in fps
-        }
+            assert probe(fp) == index.peek(fp) == ChunkLocation(fp, 2)
+            assert fp in index
+        assert probe(10**16) is None
+        assert len(index) == len(fps)
+
+    def test_probe_sees_inserts_after_it_was_fetched(self):
+        index = make_sharded(3)
+        probe = index.probe()
+        index.insert_many([7, 8], [ChunkLocation(1, 0), ChunkLocation(2, 0)])
+        assert probe(7) == ChunkLocation(1, 0)
+        assert probe(8) == ChunkLocation(2, 0)
 
     def test_page_of_is_a_stable_ensemble_page_id(self):
         index = make_sharded(3)
@@ -139,3 +145,17 @@ class TestCrashCycle:
         for fp in rebuilt:
             owner = index.router.shard_of(fp)
             assert fp in index.shards[owner]._map
+
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_probe_agrees_with_peek_after_load_recovered(self, n_shards):
+        """``load_recovered`` replaces each shard's map; a probe fetched
+        afterwards must answer from the rebuilt map, never the old one."""
+        index = make_sharded(n_shards, journaled=True)
+        index.insert_many([1, 2, 3], [ChunkLocation(0, i) for i in range(3)])
+        index.flush()
+        index.load_recovered({5: ChunkLocation(4, 4)})
+        probe = index.probe()
+        for fp in (1, 2, 3, 5, 6):
+            assert probe(fp) == index.peek(fp)
+        assert probe(5) == ChunkLocation(4, 4)
+        assert probe(1) is None

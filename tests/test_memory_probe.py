@@ -10,7 +10,8 @@ import json
 
 import pytest
 
-from repro.memory import check_memory_gate, load_memory_budget, run_memory_probe
+from repro.bench import load_record
+from repro.memory import check_memory_gate, run_memory_probe
 
 
 @pytest.fixture(scope="module")
@@ -83,10 +84,10 @@ class TestGate:
         assert "unmeasurable" in failure
 
     def test_missing_baseline_is_none(self, tmp_path):
-        assert load_memory_budget(str(tmp_path / "nope.json")) is None
+        assert load_record(tmp_path / "nope.json") is None
 
     def test_committed_baseline_loads(self):
-        baseline = load_memory_budget("BENCH_memory.json")
+        baseline = load_record("BENCH_memory.json")
         assert baseline is not None
         assert baseline["budget_rss_mb"] > 0
         assert baseline["memory"]["scale"] == "xlarge"

@@ -7,11 +7,11 @@ structure — have pinned messages.
 """
 
 from repro.bench import (
-    CHUNKING_BASELINE_FILENAME,
     CHUNKING_SPEEDUP_FLOOR,
+    GATES,
     check_chunking_regression,
     chunking_fixture,
-    load_chunking_baseline,
+    load_record,
     measure_chunking,
     run_chunking_bench,
 )
@@ -100,12 +100,10 @@ class TestGates:
 
 class TestCommittedBaseline:
     def test_committed_baseline_loads_and_is_wellformed(self):
-        baseline = load_chunking_baseline()
-        if baseline is None:  # running outside the repo root
-            import pathlib
+        import pathlib
 
-            root = pathlib.Path(__file__).resolve().parents[2]
-            baseline = load_chunking_baseline(root / CHUNKING_BASELINE_FILENAME)
+        root = pathlib.Path(__file__).resolve().parents[2]
+        baseline = load_record(root / GATES["chunking"].filename)
         assert baseline is not None
         rec = baseline["chunking"]
         assert rec["seqcdc_seconds"] > 0
