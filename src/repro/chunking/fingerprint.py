@@ -13,9 +13,11 @@ Real systems use SHA-1; for simulation we use 64-bit fingerprints:
   Python cost of BLAKE2b slicing dominates high-throughput ingest, so
   the byte-level workload path uses this fold instead: every 8-byte
   word is mixed with its in-segment position, XOR-folded per segment
-  with one ``np.bitwise_xor.reduceat``, and finalized with the segment
-  length. Not BLAKE2b-compatible — a parallel fingerprint *family*
-  (collision odds are the same birthday bound either way).
+  with ``np.bitwise_xor.reduceat`` over L2-sized batches, and finalized
+  with the segment length. Not BLAKE2b-compatible — a parallel
+  fingerprint *family* (collision odds are the same birthday bound
+  either way). The fold, :func:`splitmix64_array` and the bloom
+  filter's probes share one in-place kernel, :func:`_splitmix64_inplace`.
 """
 
 from __future__ import annotations
@@ -61,14 +63,47 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`splitmix64` over a uint64 array."""
-    x = np.asarray(x, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        x = x + _U64(0x9E3779B97F4A7C15)
-        x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
-        return x ^ (x >> _U64(31))
+#: splitmix64 constants as uint64 scalars for the array kernel
+_GAMMA = _U64(0x9E3779B97F4A7C15)
+_MUL1 = _U64(0xBF58476D1CE4E5B9)
+_MUL2 = _U64(0x94D049BB133111EB)
+_S30, _S27, _S31 = _U64(30), _U64(27), _U64(31)
+
+#: words per :func:`splitmix64_array` block: 256 KiB, so the block and
+#: its scratch stay in L2 through the kernel's passes
+_MIX_BLOCK_WORDS = 32 * 1024
+
+
+def _splitmix64_inplace(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """:func:`splitmix64` over the uint64 array ``x``, in place.
+
+    ``scratch`` is a uint64 array of ``x``'s shape whose contents are
+    overwritten. numpy wraps uint64 *array* arithmetic modulo 2**64
+    without an overflow warning (only scalar arithmetic warns), so no
+    ``errstate`` is needed. Returns ``x``.
+    """
+    x += _GAMMA
+    np.right_shift(x, _S30, out=scratch)
+    x ^= scratch
+    x *= _MUL1
+    np.right_shift(x, _S27, out=scratch)
+    x ^= scratch
+    x *= _MUL2
+    np.right_shift(x, _S31, out=scratch)
+    x ^= scratch
+    return x
+
+
+def splitmix64_array(x: "np.ndarray | Sequence[int]") -> np.ndarray:
+    """Vectorized :func:`splitmix64`: a new uint64 array of ``x``'s
+    shape; ``x`` itself is never modified."""
+    out = np.array(x, dtype=np.uint64, order="C")
+    flat = out.reshape(-1)
+    scratch = np.empty(min(flat.size, _MIX_BLOCK_WORDS), dtype=np.uint64)
+    for lo in range(0, flat.size, _MIX_BLOCK_WORDS):
+        block = flat[lo : lo + _MIX_BLOCK_WORDS]
+        _splitmix64_inplace(block, scratch[: block.size])
+    return out
 
 
 def fingerprint64_fast(data: bytes) -> int:
@@ -89,9 +124,10 @@ def fingerprint64_fast(data: bytes) -> int:
     return splitmix64(acc ^ splitmix64(length))
 
 
-#: default batch granularity for the vectorized fold: bounds temporaries
-#: independent of the input size
-_FAST_BATCH_BYTES = 32 * 1024 * 1024
+#: default batch granularity for the vectorized fold: ~256 KiB of
+#: segment bytes, so every per-batch temporary stays in L2 instead of
+#: streaming through DRAM once per numpy pass
+_FAST_BATCH_BYTES = 256 * 1024
 
 #: ``splitmix64(k + 1)`` for in-segment word index ``k``: the fold's
 #: position mix, gathered instead of recomputed per word. Built at import
@@ -125,9 +161,10 @@ def fingerprint_segments_fast(
     Same contract as :func:`fingerprint_segments` (strictly increasing
     boundaries from 0 to ``len(data)``) but a different fingerprint
     *family*: bit-identical to :func:`fingerprint64_fast` per segment,
-    not to BLAKE2b. Segments are processed in batches whose padded size
-    stays under ``batch_bytes``, so peak temporaries are bounded
-    regardless of input size.
+    not to BLAKE2b. Segments are folded in batches of whole segments
+    spanning about ``batch_bytes`` (a single longer segment is a batch
+    of its own), so temporaries are bounded regardless of input size;
+    the batch size never changes the values.
     """
     bounds = np.asarray(boundaries, dtype=np.int64)
     n_seg = bounds.size - 1
@@ -136,20 +173,24 @@ def fingerprint_segments_fast(
         return out
     buf = np.frombuffer(data, dtype=np.uint8)
     sizes = np.diff(bounds)
-    if sizes.size and int(sizes.min()) <= 0:
+    if int(sizes.min()) <= 0:
         raise ValueError("boundaries must be strictly increasing")
     lo = 0
     while lo < n_seg:
         # widest batch of whole segments whose span fits batch_bytes
         hi = int(np.searchsorted(bounds, bounds[lo] + batch_bytes, side="left"))
         hi = max(min(hi, n_seg), lo + 1)
-        out[lo:hi] = _fold_batch(buf, bounds[lo : hi + 1])
+        _fold_batch(buf, bounds[lo : hi + 1], out[lo:hi])
         lo = hi
-    return out
+    # finalize every segment with its byte length in one pass
+    length_mix = splitmix64_array(sizes)
+    out ^= length_mix
+    return _splitmix64_inplace(out, length_mix)
 
 
-def _fold_batch(buf: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """One vectorized fold over the segments delimited by ``bounds``."""
+def _fold_batch(buf: np.ndarray, bounds: np.ndarray, out: np.ndarray) -> None:
+    """XOR-fold the position-mixed words of each segment delimited by
+    ``bounds`` into ``out``, before the length finalizer."""
     sizes = np.diff(bounds)
     words = (sizes + 7) // 8
     # exclusive word-start offsets per segment, plus total
@@ -171,13 +212,15 @@ def _fold_batch(buf: np.ndarray, bounds: np.ndarray) -> np.ndarray:
             padded[p : p + length] = buf[s : s + length]
     else:
         src = np.arange(n_span, dtype=np.int64)
-        shift = np.repeat(pstarts - (bounds[:-1] - bounds[0]), sizes)
-        padded[src + shift] = buf[bounds[0] : bounds[-1]]
-        del src, shift
+        src += np.repeat(pstarts - (bounds[:-1] - bounds[0]), sizes)
+        padded[src] = buf[bounds[0] : bounds[-1]]
+        del src
     wview = padded.view("<u8")
-    # in-segment word index for every word
-    karr = np.arange(total_words, dtype=np.int64) - np.repeat(wstarts[:-1], words)
-    mixed = splitmix64_array(wview ^ _position_mix(int(words.max()))[karr])
-    folded = np.bitwise_xor.reduceat(mixed, wstarts[:-1])
-    return splitmix64_array(folded ^ splitmix64_array(sizes))
-
+    # in-segment word index of every word, then its position mix XORed
+    # in; the index array is dead after the gather, so it is the mixing
+    # kernel's scratch
+    idx = np.arange(total_words, dtype=np.int64)
+    idx -= np.repeat(wstarts[:-1], words)
+    wview ^= _position_mix(int(words.max())).take(idx)
+    _splitmix64_inplace(wview, idx.view(np.uint64))
+    np.bitwise_xor.reduceat(wview, wstarts[:-1], out=out)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
-from repro._util import MIB
+from repro._util import MIB, check_fraction, check_nonnegative
 from repro.sharding.config import ShardConfig
 from repro.storage.disk import DiskProfile
 from repro.storage.store import StoreConfig
@@ -32,6 +32,18 @@ from repro.workloads.fs_model import ChurnProfile
 
 #: The simulated backup appliance disk used by all recorded experiments.
 APPLIANCE_2012 = DiskProfile(name="appliance-2012", seek_time_s=8e-3, seq_bandwidth=300e6)
+
+
+#: :class:`ExperimentConfig` fields that count something and must be >= 1
+_COUNT_FIELDS = (
+    "n_users",
+    "n_backups",
+    "n_generations",
+    "container_bytes",
+    "cache_containers",
+    "restore_cache_containers",
+    "bloom_capacity",
+)
 
 
 @dataclass(frozen=True)
@@ -150,6 +162,22 @@ class ExperimentConfig:
     #: fig4/fig6 and the restore ablation; False keeps the recorded
     #: figures' engine set (and their committed golden tables)
     extended_engines: bool = False
+
+    def __post_init__(self) -> None:
+        """Reject an out-of-range knob with a one-line ``ValueError`` at
+        construction, the boundary the CLI's argparse types also hold.
+        ``prefetch_ahead`` and ``index_page_cache_pages`` are left
+        unchecked: 0 is meaningful for both."""
+        check_fraction("alpha", self.alpha)
+        check_nonnegative("restore_faa_window", self.restore_faa_window)
+        if not 0.0 < self.bloom_fp_rate < 1.0:
+            raise ValueError(
+                f"bloom_fp_rate must be in (0, 1), got {self.bloom_fp_rate!r}"
+            )
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
 
     # -- scale presets --------------------------------------------------
 

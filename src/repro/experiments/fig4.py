@@ -79,7 +79,7 @@ def assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
         )
     if config.byte_level:
         notes["input"] = (
-            "byte-level ingest: generated buffers -> Gear skip-then-scan "
+            "byte-level ingest: generated buffers -> Gear narrow-lane "
             "CDC -> batch fingerprint -> engines"
         )
     return FigureResult(

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from repro._util import check_fraction, check_positive
+from repro.chunking.fingerprint import _splitmix64_inplace
 
 _U64 = np.uint64
 _ONE = _U64(1)
@@ -23,12 +24,6 @@ _SIX = _U64(6)
 _LOW6 = _U64(63)
 # the two independent mixes are splitmix64 of the key XOR each salt
 _SALTS = np.array([0xA5A5A5A5A5A5A5A5, 0x5EED5EED5EED5EED], dtype=np.uint64)
-# splitmix64 constants (repro.chunking.fingerprint.splitmix64), inlined
-# so the kernel can run in place
-_GAMMA = _U64(0x9E3779B97F4A7C15)
-_MUL1 = _U64(0xBF58476D1CE4E5B9)
-_MUL2 = _U64(0x94D049BB133111EB)
-_S30, _S27, _S31 = _U64(30), _U64(27), _U64(31)
 
 
 class BloomFilter:
@@ -63,18 +58,11 @@ class BloomFilter:
         ``(h1 + j * (h2 | 1)) mod n_bits`` for ``j < k``, where ``h1`` and
         ``h2`` are splitmix64 of the key XOR each salt.
 
-        Both mixes run as one in-place splitmix64 pass over an
-        ``(n, 2)`` array. numpy wraps uint64 *array* arithmetic modulo
-        2**64 without an overflow warning (only scalar arithmetic warns),
-        so no ``errstate`` is needed.
+        Both mixes run as one pass of the in-place splitmix64 kernel
+        over an ``(n, 2)`` array.
         """
         h = np.asarray(fps, dtype=np.uint64)[:, None] ^ _SALTS
-        h += _GAMMA
-        h ^= h >> _S30
-        h *= _MUL1
-        h ^= h >> _S27
-        h *= _MUL2
-        h ^= h >> _S31
+        _splitmix64_inplace(h, np.empty_like(h))
         h[:, 1] |= _ONE
         pos = h[:, 1:] * self._ks
         pos += h[:, :1]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chunking.fingerprint import (
+    _FAST_BATCH_BYTES,
     fingerprint64_fast,
     fingerprint_segments,
     fingerprint_segments_fast,
@@ -47,7 +48,10 @@ class TestBatchMatchesScalar:
     @settings(deadline=None, max_examples=30)
     @given(
         sizes=st.lists(st.integers(1, 500), min_size=1, max_size=60),
-        batch_bytes=st.sampled_from([1, 64, 1000, 1 << 20]),
+        batch_bytes=st.sampled_from(
+            [1, 64, 1000, 1 << 20]
+            + [_FAST_BATCH_BYTES - 1, _FAST_BATCH_BYTES, _FAST_BATCH_BYTES + 1]
+        ),
     )
     def test_batch_granularity_never_changes_values(self, sizes, batch_bytes):
         bounds = boundaries_from_sizes(sizes)
@@ -55,6 +59,51 @@ class TestBatchMatchesScalar:
         reference = fingerprint_segments_fast(data, bounds)
         got = fingerprint_segments_fast(data, bounds, batch_bytes=batch_bytes)
         np.testing.assert_array_equal(got, reference)
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_default_batch_edges_over_many_batches(self, delta):
+        """Inputs spanning several default batches, with a segment ending
+        exactly on the default batch size, fold to the same values at the
+        default size and its byte neighbours as in one single batch."""
+        half = _FAST_BATCH_BYTES // 2
+        sizes = [half, half, 1, 4095, 8, 9] + [1000 + 37 * i for i in range(300)]
+        bounds = boundaries_from_sizes(sizes)
+        data = random_bytes(int(bounds[-1]), 11)
+        one_batch = fingerprint_segments_fast(data, bounds, batch_bytes=1 << 30)
+        got = fingerprint_segments_fast(
+            data, bounds, batch_bytes=_FAST_BATCH_BYTES + delta
+        )
+        np.testing.assert_array_equal(got, one_batch)
+        for i in (0, 1, 2, 3, 4, 5, 100, len(sizes) - 1):
+            seg = data[int(bounds[i]) : int(bounds[i + 1])]
+            assert int(got[i]) == fingerprint64_fast(seg)
+
+    def test_single_segment_longer_than_a_batch(self):
+        """A segment wider than the default batch is a batch of its own."""
+        for size in (_FAST_BATCH_BYTES + 1, 3 * _FAST_BATCH_BYTES + 13):
+            data = random_bytes(size, seed=size)
+            got = fingerprint_segments_fast(data, [0, size])
+            assert int(got[0]) == fingerprint64_fast(data)
+            mixed = fingerprint_segments_fast(
+                data, [0, 5, size - 3, size]
+            )
+            for i, (a, b) in enumerate([(0, 5), (5, size - 3), (size - 3, size)]):
+                assert int(mixed[i]) == fingerprint64_fast(data[a:b])
+
+    def test_tiny_segments_scatter_path_at_default_batch(self):
+        """Tiny segments over more than one default batch take the
+        vectorized byte scatter in every batch."""
+        sizes = ([1, 2, 3, 5, 8, 13] * 30_000)[:100_000]
+        bounds = boundaries_from_sizes(sizes)
+        assert bounds[-1] > 2 * _FAST_BATCH_BYTES
+        data = random_bytes(int(bounds[-1]), 9)
+        got = fingerprint_segments_fast(data, bounds)
+        np.testing.assert_array_equal(
+            got, fingerprint_segments_fast(data, bounds, batch_bytes=1 << 30)
+        )
+        for i in range(0, len(sizes), 997):
+            seg = data[int(bounds[i]) : int(bounds[i + 1])]
+            assert int(got[i]) == fingerprint64_fast(seg)
 
     def test_cdc_segments(self):
         """Real chunker output: the production pairing."""

@@ -97,3 +97,43 @@ class TestBuilders:
 
         eng = create_engine("DeFrag", ExperimentConfig.small().with_(alpha=0.33))
         assert eng.policy.alpha == 0.33
+
+
+class TestValidation:
+    """Out-of-range knobs fail at construction with one line, for API
+    callers as for the CLI."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("alpha", -0.01, r"alpha must be in \[0, 1\]"),
+            ("alpha", 1.5, r"alpha must be in \[0, 1\]"),
+            ("restore_faa_window", -1, "restore_faa_window must be >= 0"),
+            ("bloom_fp_rate", 0.0, r"bloom_fp_rate must be in \(0, 1\)"),
+            ("bloom_fp_rate", 1.0, r"bloom_fp_rate must be in \(0, 1\)"),
+            ("n_users", 0, "n_users must be >= 1"),
+            ("n_backups", 0, "n_backups must be >= 1"),
+            ("n_generations", 0, "n_generations must be >= 1"),
+            ("container_bytes", 0, "container_bytes must be >= 1"),
+            ("cache_containers", 0, "cache_containers must be >= 1"),
+            ("restore_cache_containers", 0, "restore_cache_containers must be >= 1"),
+            ("bloom_capacity", 0, "bloom_capacity must be >= 1"),
+        ],
+    )
+    def test_rejects_out_of_range(self, field, value, message):
+        with pytest.raises(ValueError, match=message) as exc:
+            ExperimentConfig(**{field: value})
+        assert "\n" not in str(exc.value)
+        # with_ goes through the same check
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.small().with_(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        ExperimentConfig(
+            alpha=0.0, restore_faa_window=0, prefetch_ahead=0, index_page_cache_pages=0
+        )
+        ExperimentConfig(alpha=1.0, n_users=1, n_backups=1, bloom_capacity=1)
+
+    @pytest.mark.parametrize("name", SCALE_NAMES)
+    def test_every_preset_is_valid(self, name):
+        ExperimentConfig.by_name(name)
