@@ -218,7 +218,7 @@ class DDFSEngine(DedupEngine):
         cache = self.cache
         touch = cache.touch_unit
         index = self.res.index
-        peek = index.probe()  # per-chunk peek; fps already ints
+        peek_run = index.probe(fps)  # index.peek over fps[i:j]
         index_lookup = index.lookup
         index_insert = index.insert
         store_append = self.res.store.append
@@ -277,8 +277,8 @@ class DDFSEngine(DedupEngine):
                     hits += j - i
                     removed += sum(sizes[i:j])
                     cids[i:j] = [
-                        loc.cid if (loc := peek(f)) is not None else u
-                        for f, u in zip(fps[i:j], uids[r:e])
+                        loc.cid if loc is not None else u
+                        for loc, u in zip(peek_run(i, j), uids[r:e])
                     ]
                     i = j
                     continue
@@ -361,7 +361,7 @@ class DDFSEngine(DedupEngine):
         cache = self.cache
         touch = cache.touch_unit
         index = self.res.index
-        peek = index.probe()  # per-chunk peek; fps already ints
+        peek_run = index.probe(fps)  # index.peek over fps[i:j]
         index_lookup = index.lookup
         stream = self._stream_new
         stream_get = stream.get
@@ -397,8 +397,8 @@ class DDFSEngine(DedupEngine):
                         touch(u)
                     hits += j - i
                     locations[i:j] = [
-                        loc if (loc := peek(f)) is not None else ChunkLocation(u, -1)
-                        for f, u in zip(fps[i:j], uids[r:e])
+                        loc if loc is not None else ChunkLocation(u, -1)
+                        for loc, u in zip(peek_run(i, j), uids[r:e])
                     ]
                     i = j
                     continue

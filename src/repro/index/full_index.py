@@ -337,8 +337,11 @@ class DiskChunkIndex:
 
         Bookkeeping only — the scanner charges the container-log scan
         and the rebuilt-index write itself. The rebuilt entries count as
-        flushed (they were just written durably)."""
-        self._map = dict(entries)
+        flushed (they were just written durably). The map is refilled in
+        place, so a :meth:`getter` taken earlier sees the rebuild."""
+        rebuilt = dict(entries)
+        self._map.clear()
+        self._map.update(rebuilt)
         if self._unflushed is not None:
             self._unflushed.clear()
         return len(self._map)
@@ -347,12 +350,18 @@ class DiskChunkIndex:
         """Location without any disk charge (oracle/bookkeeping use)."""
         return self._map.get(int(fp))
 
-    def probe(self) -> Callable[[int], Optional[ChunkLocation]]:
-        """:meth:`peek` as a bound ``dict.get`` for a per-chunk loop over
-        int fingerprints. It sees every later insert and update but not a
-        :meth:`load_recovered`, which replaces the map: fetch it again
-        per segment instead of caching it across backups."""
+    def getter(self) -> Callable[[int], Optional[ChunkLocation]]:
+        """:meth:`peek` as a bound ``dict.get`` over int fingerprints,
+        valid for the index's lifetime: inserts, updates, crash rollback
+        and :meth:`load_recovered` all change the one map in place."""
         return self._map.get
+
+    def probe(self, fps: List[int]) -> Callable[[int, int], List[Optional[ChunkLocation]]]:
+        """:meth:`peek` over runs of one segment's int fingerprints:
+        ``probe(fps)(i, j)`` answers ``fps[i:j]``, seeing every write
+        made since the probe was taken."""
+        get = self._map.get
+        return lambda i, j: list(map(get, fps[i:j]))
 
     @property
     def disk_bytes(self) -> int:

@@ -82,10 +82,6 @@ class BlockBuilder:
         this block)."""
         return self._next_bid
 
-    @property
-    def pending_bytes(self) -> int:
-        return self._bytes
-
     def add_segment(self, segment: Segment, written_fps: np.ndarray, written_bytes: int) -> int:
         """Add one processed segment's *written* chunks to the open block.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 
@@ -81,10 +81,6 @@ class Segmenter(abc.ABC):
             a, b = int(cuts[i]), int(cuts[i + 1])
             segments.append(Segment(index=i, start=a, fps=fps[a:b], sizes=sizes[a:b]))
         return segments
-
-    def iter_split(self, stream: ChunkStream) -> Iterator[Segment]:
-        """Like :meth:`split` but lazy."""
-        return iter(self.split(stream))
 
 
 @dataclass

@@ -72,6 +72,7 @@ class ShardedChunkIndex:
         for shard in self.shards[1:]:
             shard.stats = self.stats
         self._obs_prefix = obs_prefix
+        self._gets = [shard.getter() for shard in self.shards]
 
     # ------------------------------------------------------------------
 
@@ -119,7 +120,7 @@ class ShardedChunkIndex:
         return sum(len(s) for s in self.shards)
 
     def __contains__(self, fp: int) -> bool:
-        return int(fp) in self.shards[self.router.shard_of(int(fp))]._map
+        return fp in self.shards[self.router.shard_of(int(fp))]
 
     @property
     def n_pages(self) -> int:
@@ -144,15 +145,15 @@ class ShardedChunkIndex:
     def peek(self, fp: int) -> Optional[ChunkLocation]:
         return self.shards[self.router.shard_of(int(fp))].peek(fp)
 
-    def probe(self) -> Callable[[int], Optional[ChunkLocation]]:
-        """:meth:`peek` for a per-chunk loop over int fingerprints: one
-        shard's own probe, or a routed one over every shard's. Same
-        lifetime as :meth:`DiskChunkIndex.probe`: fetch it per segment."""
+    def probe(self, fps: List[int]) -> Callable[[int, int], List[Optional[ChunkLocation]]]:
+        """:meth:`DiskChunkIndex.probe` over the ensemble: the one
+        shard's own probe, or one ``route_many`` over the whole segment
+        and then each run's fingerprints read from their owners' maps."""
         if self.n_shards == 1:
-            return self.shards[0].probe()
-        shard_of = self.router.shard_of
-        probes = [shard.probe() for shard in self.shards]
-        return lambda fp: probes[shard_of(fp)](fp)
+            return self.shards[0].probe(fps)
+        owners = self.router.route_many(fps).tolist()
+        gets = self._gets
+        return lambda i, j: [gets[o](f) for o, f in zip(owners[i:j], fps[i:j])]
 
     # -- obs (twin-run contract: counters only, never behavior) ----------
 
@@ -225,7 +226,7 @@ class ShardedChunkIndex:
         if self.n_shards == 1:
             self.shards[0].insert_many(fps, locations)
             return
-        parts = self.router.partition(list(fps))
+        parts = self.router.partition(fps)
         locations = list(locations)
         for shard_id in sorted(parts):
             positions, shard_fps = parts[shard_id]
@@ -241,7 +242,7 @@ class ShardedChunkIndex:
         if self.n_shards == 1:
             self.shards[0].update_many(fps, locations)
             return
-        parts = self.router.partition(list(fps))
+        parts = self.router.partition(fps)
         locations = list(locations)
         for shard_id in sorted(parts):
             positions, shard_fps = parts[shard_id]

@@ -48,14 +48,19 @@ def _ring_point(shard: int, replica: int) -> int:
 #: splitmix64 mixing constants (same finalizer the fingerprint fold uses)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over a uint64 array (vectorized)."""
-    x = (x ^ (x >> np.uint64(30))) * _M1
-    x = (x ^ (x >> np.uint64(27))) * _M2
-    return x ^ (x >> np.uint64(31))
+    """splitmix64 finalizer over a uint64 array, in place (numpy wraps
+    uint64 array arithmetic modulo 2**64 without a warning)."""
+    x ^= x >> _S30
+    x *= _M1
+    x ^= x >> _S27
+    x *= _M2
+    x ^= x >> _S31
+    return x
 
 
 def _mix_scalar(x: int) -> int:
@@ -81,7 +86,11 @@ class ShardRouter:
                 points.append((_ring_point(shard, replica), shard))
         points.sort()
         self._points = np.array([p for p, _ in points], dtype=np.uint64)
-        self._owners = np.array([s for _, s in points], dtype=np.int64)
+        # one extra owner past the top point: a key above every point
+        # wraps to the first point's owner without a fix-up pass
+        self._owners = np.array(
+            [s for _, s in points] + [points[0][1]], dtype=np.int64
+        )
         self._points_list = [p for p, _ in points]
         self._owners_list = [s for _, s in points]
 
@@ -98,13 +107,10 @@ class ShardRouter:
 
     def route_many(self, fps: Sequence[int]) -> np.ndarray:
         """Owning shard of every fingerprint in a batch (vectorized)."""
-        arr = np.asarray(fps, dtype=np.uint64)
         if self.n_shards == 1:
-            return np.zeros(len(arr), dtype=np.int64)
-        keys = _mix(arr & _U64)
-        idx = np.searchsorted(self._points, keys, side="left")
-        idx[idx == len(self._points)] = 0
-        return self._owners[idx]
+            return np.zeros(len(fps), dtype=np.int64)
+        keys = _mix(np.array(fps, dtype=np.uint64))
+        return self._owners[np.searchsorted(self._points, keys)]
 
     def partition(
         self, fps: Sequence[int]
@@ -116,14 +122,18 @@ class ShardRouter:
         all shards are disjoint and cover ``range(len(fps))`` exactly —
         the partition invariant the property suite pins.
         """
-        owners = self.route_many(fps)
+        arr = np.asarray(fps, dtype=np.uint64)
+        owners = self.route_many(arr)
+        # one stable sort by owner keeps input order inside each shard
+        order = np.argsort(owners, kind="stable")
+        positions = order.tolist()
+        keys = arr[order].tolist()
         out: Dict[int, Tuple[List[int], List[int]]] = {}
-        for pos, (fp, shard) in enumerate(zip(fps, owners)):
-            entry = out.get(int(shard))
-            if entry is None:
-                entry = out[int(shard)] = ([], [])
-            entry[0].append(pos)
-            entry[1].append(int(fp))
+        lo = 0
+        for shard, count in enumerate(np.bincount(owners, minlength=self.n_shards).tolist()):
+            if count:
+                out[shard] = (positions[lo : lo + count], keys[lo : lo + count])
+                lo += count
         return out
 
     def fill_balance(self, counts: Sequence[int]) -> float:

@@ -7,12 +7,15 @@ records. A spill backend is where a :class:`~repro.storage.store
 .ContainerStore` with a ``resident_containers`` budget parks sealed
 containers it evicts from RAM, and where reads fault them back from.
 
-Two backends implement the same four-call protocol
-(``put``/``get``/``delete``/``__contains__`` over encoded blobs):
+Two backends implement the same protocol
+(``put``/``get``/``delete``/``__contains__``/``cids`` over encoded
+blobs):
 
-* :class:`DirectorySpill` — one file per container under a spill
-  directory: the real out-of-core store (used by ``--spill-dir`` and
-  the memory bench).
+* :class:`PackSpill` — one append-only pack file per spill directory,
+  read with ``os.pread`` through an in-RAM ``cid -> (offset, length)``
+  table: the real out-of-core store (used by ``--spill-dir`` and the
+  memory bench). Deletes append tombstones, and the pack compacts once
+  its dead bytes exceed its live bytes.
 * :class:`MemorySpill` — a dict of the same encoded blobs: the tmpfs
   shim tests and the chaos sweep use, so the full
   serialize/evict/fault-back cycle is exercised without touching the
@@ -29,14 +32,19 @@ scanner can trust a spill directory that survived a crash::
 
     MAGIC(4s) | version(u16) | reserved(u16) | cid(i64) | n_chunks(u32)
     | fingerprints: n_chunks * u64 | sizes: n_chunks * u32
+
+A pack frames each blob as ``cid(i64) | length(u32) | blob``; reopening
+a pack drops a torn tail record, so an interrupted append loses only
+the container being written.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import weakref
 from pathlib import Path
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +55,7 @@ __all__ = [
     "decode_container",
     "ContainerSpill",
     "MemorySpill",
-    "DirectorySpill",
+    "PackSpill",
     "make_spill",
 ]
 
@@ -55,6 +63,9 @@ __all__ = [
 _HEADER = struct.Struct("<4sHHqI")
 _MAGIC = b"RCTN"
 _VERSION = 1
+
+#: pack record header: cid, blob length (0 marks a tombstone)
+_RECORD = struct.Struct("<qI")
 
 
 def encode_container(sealed: SealedContainer) -> bytes:
@@ -139,54 +150,152 @@ class MemorySpill(ContainerSpill):
         return len(self._blobs)
 
 
-class DirectorySpill(ContainerSpill):
-    """One ``<cid>.ctn`` file per container under a spill directory.
+def _open_rw(path: Path, truncate: bool = False):
+    """An unbuffered read/write handle, created if missing (positioned
+    IO only: every read and write names its offset)."""
+    flags = os.O_RDWR | os.O_CREAT | (os.O_TRUNC if truncate else 0)
+    return open(os.open(path, flags, 0o644), "r+b", buffering=0)
 
-    Writes go to a temp name then rename into place, so a machine-level
-    interruption leaves either the whole blob or nothing — the same
-    all-or-nothing property the simulated commit marker gives sealed
-    containers inside the model.
+
+def _pwrite(fd: int, data: bytes, offset: int) -> None:
+    written = os.pwrite(fd, data, offset)
+    if written != len(data):
+        raise OSError(f"short spill write: {written} of {len(data)} B at {offset}")
+
+
+class PackSpill(ContainerSpill):
+    """One append-only pack file of container records under a spill
+    directory: the real out-of-core store.
+
+    Each record is ``cid(i64) | length(u32) | blob``; a record with
+    ``length`` 0 is the tombstone of a delete (a blob is never empty).
+    An in-RAM table maps every live cid to its blob's ``(offset,
+    length)``, so :meth:`get` is one ``os.pread`` and :meth:`put` one
+    positioned write at the end of the file. A delete appends a
+    tombstone, and the deleted record plus its tombstone count as dead
+    bytes. When dead bytes exceed live bytes the pack is rewritten with
+    the live records only (tmp file, then ``os.replace``).
+
+    Opening a directory that already holds a pack rescans it and
+    truncates a torn tail record (a header or blob cut short by an
+    interrupted append), so a machine-level interruption loses at most
+    the record being written. The file handle is closed by
+    :meth:`close`, or by a finalizer once the spill is collected.
     """
 
-    SUFFIX = ".ctn"
+    NAME = "containers.pack"
 
     def __init__(self, path) -> None:
-        self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
+        path = Path(path)
+        path.mkdir(parents=True, exist_ok=True)
+        #: the pack file itself
+        self.pack = path / self.NAME
+        self._handle = _open_rw(self.pack)
+        self._finalizer = weakref.finalize(self, self._handle.close)
+        self._fd = self._handle.fileno()
+        #: live cid -> (blob offset, blob length), in file order
+        self._table: Dict[int, Tuple[int, int]] = {}
+        #: bytes of live records (header + blob)
+        self.live_bytes = 0
+        #: bytes of deleted or overwritten records and of tombstones
+        self.dead_bytes = 0
+        self._scan()
 
-    def _file(self, cid: int) -> Path:
-        return self.path / f"{int(cid):012d}{self.SUFFIX}"
+    def _scan(self) -> None:
+        """Rebuild the table from the file; truncate a torn tail."""
+        size = os.fstat(self._fd).st_size
+        end = 0
+        while end + _RECORD.size <= size:
+            cid, n = _RECORD.unpack(os.pread(self._fd, _RECORD.size, end))
+            if end + _RECORD.size + n > size:
+                break
+            self._forget(cid)
+            if n:
+                self._table[cid] = (end + _RECORD.size, n)
+                self.live_bytes += _RECORD.size + n
+            else:
+                self.dead_bytes += _RECORD.size
+            end += _RECORD.size + n
+        if end < size:
+            os.ftruncate(self._fd, end)
+
+    def _forget(self, cid: int) -> bool:
+        """Move ``cid``'s record, if live, from live to dead bytes."""
+        entry = self._table.pop(cid, None)
+        if entry is None:
+            return False
+        nbytes = _RECORD.size + entry[1]
+        self.live_bytes -= nbytes
+        self.dead_bytes += nbytes
+        return True
+
+    def _append(self, cid: int, blob: bytes) -> int:
+        """Write one record at the end of the file; returns the blob's
+        offset."""
+        offset = self.live_bytes + self.dead_bytes
+        _pwrite(self._fd, _RECORD.pack(cid, len(blob)) + blob, offset)
+        return offset + _RECORD.size
 
     def put(self, cid: int, blob: bytes) -> None:
-        final = self._file(cid)
-        tmp = final.with_suffix(".tmp")
-        tmp.write_bytes(blob)
-        os.replace(tmp, final)
+        if not blob:
+            raise ValueError(f"empty spill blob for cid {cid}")
+        cid = int(cid)
+        self._forget(cid)
+        self._table[cid] = (self._append(cid, blob), len(blob))
+        self.live_bytes += _RECORD.size + len(blob)
 
     def get(self, cid: int) -> bytes:
-        return self._file(cid).read_bytes()
+        offset, n = self._table[int(cid)]
+        blob = os.pread(self._fd, n, offset)
+        if len(blob) != n:
+            raise ValueError(f"{self.pack} short for cid {cid}: {len(blob)} B != {n} B")
+        return blob
 
     def delete(self, cid: int) -> None:
+        cid = int(cid)
+        if not self._forget(cid):
+            return
+        self._append(cid, b"")
+        self.dead_bytes += _RECORD.size
+        if self.dead_bytes > self.live_bytes:
+            self.compact()
+
+    def compact(self) -> None:
+        """Rewrite the pack with its live records only, in file order."""
+        tmp = self.pack.with_suffix(".tmp")
+        new = _open_rw(tmp, truncate=True)
+        table: Dict[int, Tuple[int, int]] = {}
+        end = 0
         try:
-            self._file(cid).unlink()
-        except FileNotFoundError:
-            pass
+            for cid, (offset, n) in self._table.items():
+                _pwrite(new.fileno(), _RECORD.pack(cid, n) + os.pread(self._fd, n, offset), end)
+                table[cid] = (end + _RECORD.size, n)
+                end += _RECORD.size + n
+            os.replace(tmp, self.pack)
+        except BaseException:
+            new.close()
+            raise
+        self.close()
+        self._handle = new
+        self._finalizer = weakref.finalize(self, new.close)
+        self._fd = new.fileno()
+        self._table = table
+        self.dead_bytes = 0
+
+    def close(self) -> None:
+        """Close the pack's file handle (idempotent)."""
+        self._finalizer()
 
     def __contains__(self, cid: int) -> bool:
-        return self._file(cid).is_file()
+        return int(cid) in self._table
 
     def cids(self) -> Iterator[int]:
-        return iter(
-            sorted(
-                int(p.stem)
-                for p in self.path.glob(f"*{self.SUFFIX}")
-            )
-        )
+        return iter(sorted(self._table))
 
 
 def make_spill(spill_dir: Optional[str]) -> ContainerSpill:
-    """The backend a store config resolves to: a :class:`DirectorySpill`
+    """The backend a store config resolves to: a :class:`PackSpill`
     when a directory is named, the :class:`MemorySpill` shim otherwise."""
     if spill_dir is None:
         return MemorySpill()
-    return DirectorySpill(spill_dir)
+    return PackSpill(spill_dir)

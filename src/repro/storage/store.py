@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.storage.container import (
-    CHUNK_METADATA_BYTES,
     DEFAULT_CONTAINER_BYTES,
     Container,
     SealedContainer,
@@ -75,13 +74,13 @@ class StoreConfig:
             the pre-spill behavior. Spill IO is real machine IO, never
             charged to the simulated disk, so results are byte-
             identical with spilling on or off.
-        spill_dir: root directory for the spill files; ``None`` uses
+        spill_dir: root directory for the spill packs; ``None`` uses
             the in-memory shim (tests, chaos). Only meaningful together
             with ``resident_containers``. Each store instance owns a
             unique subdirectory under this root (``store-<pid>-<seq>``),
             so concurrent stores — parallel grid cells, per-tenant
             stores, per-engine memoized runs — can share one configured
-            root without clobbering each other's container files (cid
+            root without clobbering each other's pack files (cid
             spaces overlap across stores). The live path is
             :attr:`ContainerStore.spill_path`.
     """
@@ -177,7 +176,7 @@ class ContainerStore:
                 # every store instance gets its own subdirectory: cid
                 # spaces overlap across stores (each starts at cid 0),
                 # so two stores sharing one root would silently
-                # overwrite each other's {cid}.ctn files
+                # overwrite each other's pack records
                 self._spill_path = os.path.join(
                     config.spill_dir,
                     f"store-{os.getpid()}-{next(_SPILL_SEQ):04d}",
@@ -390,9 +389,11 @@ class ContainerStore:
         assert self._spill is not None
         try:
             blob = self._spill.get(cid)
-        except (KeyError, FileNotFoundError):
+        except KeyError:
             raise KeyError(cid) from None
         sealed = decode_container(blob)
+        if sealed.cid != cid:
+            raise ValueError(f"spill returned container {sealed.cid} for cid {cid}")
         self.spill_stats.faults += 1
         self.spill_stats.bytes_faulted += len(blob)
         self._resident[cid] = sealed
@@ -568,8 +569,3 @@ class ContainerStore:
         """Map cid -> number of chunks, for layout analysis (served from
         the resident directory; never faults)."""
         return {cid: m[0] for cid, m in self._meta.items()}
-
-    def logical_metadata_bytes(self, n_chunks: int) -> int:
-        """Metadata footprint of ``n_chunks`` chunks (helper for cost
-        estimation)."""
-        return n_chunks * CHUNK_METADATA_BYTES

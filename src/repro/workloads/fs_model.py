@@ -263,10 +263,6 @@ class FileSystemModel:
     # ------------------------------------------------------------------
 
     @property
-    def n_files(self) -> int:
-        return len(self._files)
-
-    @property
     def total_bytes(self) -> int:
         return sum(f.nbytes for f in self._files)
 

@@ -3,7 +3,7 @@
 Pins the three contract planks of ``repro.sharding.index``: 1-shard
 byte-identity (answers, stats, simulated clock), N-shard answer
 equivalence, and the single live stats object all shards share. Plus
-the mechanics: the public ``probe`` peek, ensemble ``page_of``/
+the mechanics: the per-segment ``probe`` peek, ensemble ``page_of``/
 ``n_pages``, and the journaled flush/crash/load_recovered cycle.
 """
 
@@ -51,9 +51,17 @@ class TestOneShardDegeneracy:
         one = drive(make_sharded(1))
         assert plain == one
 
-    def test_one_shard_probe_is_the_shard_probe(self):
+    def test_one_shard_probe_is_the_shard_probe(self, monkeypatch):
         index = make_sharded(1)
-        assert index.probe() == index.shards[0].probe()
+        index.insert_many([7, 8], [ChunkLocation(1, 0), ChunkLocation(2, 0)])
+
+        def no_routing(fps):
+            raise AssertionError("a 1-shard probe must not route")
+
+        monkeypatch.setattr(index.router, "route_many", no_routing)
+        fps = [7, 8, 9]
+        assert index.probe(fps)(0, 3) == index.shards[0].probe(fps)(0, 3)
+        assert index.probe(fps)(1, 3) == [ChunkLocation(2, 0), None]
 
 
 class TestAnswerEquivalence:
@@ -98,19 +106,22 @@ class TestMapViewAndPages:
         index = make_sharded(3)
         fps = [fp * 271 for fp in range(1, 200)]
         index.insert_many(fps, [ChunkLocation(fp, 2) for fp in fps])
-        probe = index.probe()
+        segment = fps + [10**16]
+        probe = index.probe(segment)
+        assert probe(0, len(segment)) == [index.peek(fp) for fp in segment]
+        for i, j in ((0, 1), (5, 40), (len(fps), len(segment))):
+            assert probe(i, j) == [index.peek(fp) for fp in segment[i:j]]
         for fp in fps:
-            assert probe(fp) == index.peek(fp) == ChunkLocation(fp, 2)
+            assert index.peek(fp) == ChunkLocation(fp, 2)
             assert fp in index
-        assert probe(10**16) is None
+        assert probe(len(fps), len(segment)) == [None]
         assert len(index) == len(fps)
 
     def test_probe_sees_inserts_after_it_was_fetched(self):
         index = make_sharded(3)
-        probe = index.probe()
+        probe = index.probe([7, 8])
         index.insert_many([7, 8], [ChunkLocation(1, 0), ChunkLocation(2, 0)])
-        assert probe(7) == ChunkLocation(1, 0)
-        assert probe(8) == ChunkLocation(2, 0)
+        assert probe(0, 2) == [ChunkLocation(1, 0), ChunkLocation(2, 0)]
 
     def test_page_of_is_a_stable_ensemble_page_id(self):
         index = make_sharded(3)
@@ -144,7 +155,7 @@ class TestCrashCycle:
         assert index.load_recovered(rebuilt) == 60
         for fp in rebuilt:
             owner = index.router.shard_of(fp)
-            assert fp in index.shards[owner]._map
+            assert fp in index.shards[owner]
 
     @pytest.mark.parametrize("n_shards", [1, 3])
     def test_probe_agrees_with_peek_after_load_recovered(self, n_shards):
@@ -154,8 +165,8 @@ class TestCrashCycle:
         index.insert_many([1, 2, 3], [ChunkLocation(0, i) for i in range(3)])
         index.flush()
         index.load_recovered({5: ChunkLocation(4, 4)})
-        probe = index.probe()
-        for fp in (1, 2, 3, 5, 6):
-            assert probe(fp) == index.peek(fp)
-        assert probe(5) == ChunkLocation(4, 4)
-        assert probe(1) is None
+        fps = [1, 2, 3, 5, 6]
+        probe = index.probe(fps)
+        assert probe(0, 5) == [index.peek(fp) for fp in fps]
+        assert probe(3, 4) == [ChunkLocation(4, 4)]
+        assert probe(0, 1) == [None]

@@ -5,7 +5,10 @@ number (disk charges, cids, packing, stats) must be byte-identical with
 spilling on or off — the spill layer is machine IO only.
 """
 
+import gc
+import os
 import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -14,8 +17,8 @@ from repro.obs import Observability, obs_session
 from repro.storage.container import SealedContainer
 from repro.storage.disk import DiskModel
 from repro.storage.spill import (
-    DirectorySpill,
     MemorySpill,
+    PackSpill,
     decode_container,
     encode_container,
     make_spill,
@@ -42,6 +45,31 @@ def ingest(store, n_chunks=40, size=300):
     for fp in range(n_chunks):
         store.append(fp + 1, size)
     store.flush()
+
+
+def blob_of(cid, n_chunks=1):
+    return encode_container(
+        SealedContainer(
+            cid=cid,
+            fingerprints=np.arange(1, n_chunks + 1, dtype=np.uint64) * (cid + 1),
+            sizes=np.full(n_chunks, 100, dtype=np.uint32),
+        )
+    )
+
+
+def open_handles(path):
+    """This process's open file descriptors on ``path``."""
+    fd_dir = pathlib.Path("/proc/self/fd")
+    if not fd_dir.is_dir():
+        pytest.skip("needs /proc/self/fd to list open descriptors")
+    target = os.path.realpath(path)
+    count = 0
+    for entry in fd_dir.iterdir():
+        try:
+            count += os.path.realpath(entry) == target
+        except OSError:
+            pass
+    return count
 
 
 class TestBlobCodec:
@@ -104,12 +132,123 @@ class TestBackends:
     def test_memory_spill(self):
         self._roundtrip(MemorySpill())
 
-    def test_directory_spill(self, tmp_path):
-        self._roundtrip(DirectorySpill(tmp_path / "spill"))
+    def test_pack_spill(self, tmp_path):
+        spill = PackSpill(tmp_path / "spill")
+        self._roundtrip(spill)
+        spill.close()
 
     def test_make_spill_dispatch(self, tmp_path):
         assert isinstance(make_spill(None), MemorySpill)
-        assert isinstance(make_spill(str(tmp_path / "d")), DirectorySpill)
+        spill = make_spill(str(tmp_path / "d"))
+        assert isinstance(spill, PackSpill)
+        assert spill.pack == tmp_path / "d" / PackSpill.NAME
+        spill.close()
+
+
+class TestPackSpill:
+    """The pack file: records, tombstones, compaction, torn tails."""
+
+    def test_roundtrip_many_blobs(self, tmp_path):
+        spill = PackSpill(tmp_path)
+        blobs = {cid: blob_of(cid, n_chunks=cid % 5 + 1) for cid in range(20)}
+        for cid, blob in blobs.items():
+            spill.put(cid, blob)
+        assert list(spill.cids()) == sorted(blobs)
+        for cid, blob in blobs.items():
+            assert spill.get(cid) == blob
+        assert spill.dead_bytes == 0
+        assert spill.live_bytes == spill.pack.stat().st_size
+        spill.close()
+        # a reopened pack serves the same blobs from a rescanned table
+        again = PackSpill(tmp_path)
+        assert {cid: again.get(cid) for cid in again.cids()} == blobs
+        again.close()
+
+    def test_tombstones_count_dead_bytes(self, tmp_path):
+        spill = PackSpill(tmp_path)
+        blobs = [blob_of(cid, n_chunks=8) for cid in range(3)]
+        for cid, blob in enumerate(blobs):
+            spill.put(cid, blob)
+        live = spill.live_bytes
+        spill.delete(1)
+        record = spill.live_bytes + spill.dead_bytes - live  # the tombstone
+        assert 1 not in spill
+        assert spill.dead_bytes == (record + len(blobs[1])) + record
+        assert spill.live_bytes == live - record - len(blobs[1])
+        assert spill.live_bytes + spill.dead_bytes == spill.pack.stat().st_size
+        spill.delete(1)  # idempotent: no second tombstone
+        spill.delete(99)
+        assert spill.live_bytes + spill.dead_bytes == spill.pack.stat().st_size
+        spill.close()
+        # the tombstone is durable: a reopen does not resurrect cid 1
+        again = PackSpill(tmp_path)
+        assert list(again.cids()) == [0, 2]
+        assert again.dead_bytes == spill.dead_bytes
+        again.close()
+
+    def test_compaction_keeps_live_blobs_and_shrinks(self, tmp_path):
+        spill = PackSpill(tmp_path)
+        blobs = {cid: blob_of(cid, n_chunks=16) for cid in range(10)}
+        for cid, blob in blobs.items():
+            spill.put(cid, blob)
+        full = spill.pack.stat().st_size
+        for cid in range(4):
+            spill.delete(cid)
+            del blobs[cid]
+        assert 0 < spill.dead_bytes <= spill.live_bytes  # not compacted yet
+        assert spill.pack.stat().st_size > full
+        spill.delete(4)  # dead bytes now exceed live bytes
+        del blobs[4]
+        assert spill.dead_bytes == 0
+        assert spill.pack.stat().st_size == spill.live_bytes < full
+        assert not spill.pack.with_suffix(".tmp").exists()
+        assert {cid: spill.get(cid) for cid in spill.cids()} == blobs
+        spill.put(42, blob_of(42))  # appends after the compacted records
+        blobs[42] = blob_of(42)
+        spill.close()
+        again = PackSpill(tmp_path)
+        assert {cid: again.get(cid) for cid in again.cids()} == blobs
+        again.close()
+
+    def test_reopen_drops_exactly_a_torn_tail_record(self, tmp_path):
+        src = tmp_path / "src"
+        spill = PackSpill(src)
+        blobs = {cid: blob_of(cid, n_chunks=3) for cid in range(3)}
+        for cid, blob in blobs.items():
+            spill.put(cid, blob)
+        spill.delete(0)
+        head = spill.pack.stat().st_size
+        spill.put(7, blob_of(7, n_chunks=3))
+        end = spill.pack.stat().st_size
+        spill.close()
+        for cut in range(head + 1, end):
+            torn = tmp_path / f"cut{cut}"
+            torn.mkdir()
+            shutil.copyfile(src / PackSpill.NAME, torn / PackSpill.NAME)
+            os.truncate(torn / PackSpill.NAME, cut)
+            reopened = PackSpill(torn)
+            assert list(reopened.cids()) == [1, 2], cut
+            assert reopened.pack.stat().st_size == head
+            assert reopened.live_bytes + reopened.dead_bytes == head
+            assert all(reopened.get(c) == blobs[c] for c in (1, 2))
+            reopened.put(7, blob_of(7))  # the pack stays appendable
+            assert reopened.get(7) == blob_of(7)
+            reopened.close()
+
+    def test_handle_closed_by_close_and_by_collection(self, tmp_path):
+        spill = PackSpill(tmp_path / "a")
+        assert open_handles(spill.pack) == 1
+        spill.close()
+        spill.close()  # idempotent
+        assert open_handles(spill.pack) == 0
+
+        store = make_store(resident=1, spill_dir=str(tmp_path / "b"))
+        ingest(store, n_chunks=40)
+        pack = pathlib.Path(store.spill_path) / PackSpill.NAME
+        assert open_handles(pack) == 1
+        del store
+        gc.collect()
+        assert open_handles(pack) == 0
 
 
 class TestConfigValidation:
@@ -167,16 +306,23 @@ class TestResidentBudget:
         store.get(hot)  # second access: already resident, no fault
         assert store.spill_stats.faults == faults0
 
-    def test_directory_spill_persists_files(self, tmp_path):
+    def test_pack_spill_persists_copies(self, tmp_path):
         spill_dir = tmp_path / "ctn"
         store = make_store(resident=1, spill_dir=str(spill_dir))
         ingest(store, n_chunks=40)
-        # files live under the store's own unique subdirectory of the
-        # configured root (two stores sharing a root must not collide)
+        # the pack lives under the store's own unique subdirectory of
+        # the configured root (two stores sharing a root must not
+        # collide), and holds a durable copy of every sealed container
         spill_path = pathlib.Path(store.spill_path)
         assert spill_path.parent == spill_dir
-        files = list(spill_path.glob("*.ctn"))
-        assert len(files) == store.n_containers
+        assert [p.name for p in spill_path.iterdir()] == [PackSpill.NAME]
+        copy = PackSpill(spill_path)
+        assert list(copy.cids()) == store.cids()
+        for cid in store.cids():
+            sealed = decode_container(copy.get(cid))
+            assert sealed.cid == cid
+            assert sealed.fingerprints.tolist() == store.get(cid).fingerprints.tolist()
+        copy.close()
 
     def test_remove_deletes_spill_copy(self, tmp_path):
         spill_dir = tmp_path / "ctn"
@@ -185,11 +331,22 @@ class TestResidentBudget:
         victim = store.cids()[0]
         store.remove(victim)
         assert not store.has(victim)
-        assert not (
-            pathlib.Path(store.spill_path) / f"{victim:012d}.ctn"
-        ).exists()
+        # the removal is durable: a reopened pack no longer holds it
+        copy = PackSpill(store.spill_path)
+        assert victim not in copy
+        assert list(copy.cids()) == store.cids()
+        copy.close()
         with pytest.raises(KeyError):
             store.get(victim)
+
+    def test_fault_in_rejects_a_foreign_container(self, tmp_path):
+        store = make_store(resident=1, spill_dir=str(tmp_path))
+        ingest(store, n_chunks=40)
+        a, b = store.cids()[:2]  # both spilled: only the last is resident
+        table = store._spill._table
+        table[a], table[b] = table[b], table[a]
+        with pytest.raises(ValueError, match=f"container {b} for cid {a}"):
+            store.get(a)
 
     def test_truncate_torn_deletes_spill_copy(self):
         store = make_store(resident=1, journal=True)

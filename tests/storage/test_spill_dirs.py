@@ -4,8 +4,8 @@ ROADMAP item 5's safety requirement: parallel grid cells, per-tenant
 stores, and per-engine memoized runs all construct their own
 ``ContainerStore`` but may share one configured ``spill_dir`` root.
 Container ids start at 0 in every store, so without per-instance
-subdirectories two stores would silently overwrite each other's
-``{cid:012d}.ctn`` files. These tests pin the fix.
+subdirectories two stores would silently overwrite each other's pack
+records. These tests pin the fix.
 """
 
 import pathlib
@@ -13,6 +13,7 @@ import pathlib
 import numpy as np
 
 from repro.storage.disk import DiskModel
+from repro.storage.spill import PackSpill
 from repro.storage.store import ContainerStore, StoreConfig
 
 from tests.conftest import TEST_PROFILE
@@ -62,10 +63,14 @@ class TestPerInstanceSpillDirs:
         pb = pathlib.Path(b.spill_path)
         assert pa.parent == tmp_path and pb.parent == tmp_path
         assert pa.name.startswith("store-") and pb.name.startswith("store-")
-        # the root itself holds no container files — only the subdirs do
-        assert list(tmp_path.glob("*.ctn")) == []
-        assert len(list(pa.glob("*.ctn"))) == a.n_containers
-        assert len(list(pb.glob("*.ctn"))) == b.n_containers
+        # the root itself holds no pack — only the subdirs do, one each,
+        # and each holds exactly its own store's containers
+        assert not (tmp_path / PackSpill.NAME).exists()
+        for store, path in ((a, pa), (b, pb)):
+            assert [p.name for p in path.iterdir()] == [PackSpill.NAME]
+            copy = PackSpill(path)
+            assert list(copy.cids()) == store.cids()
+            copy.close()
 
     def test_remove_touches_only_own_subdir(self, tmp_path):
         a = make_store(tmp_path)
