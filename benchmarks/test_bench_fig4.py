@@ -1,14 +1,14 @@
 """Bench: regenerate Fig. 4 (throughput: DeFrag vs DDFS-like vs
 SiLo-like)."""
 
-from repro.experiments import fig4
 from repro.experiments.common import clear_memo
+from repro.experiments.suite import run_experiment
 
 
 def test_bench_fig4(benchmark, bench_config):
     def run():
         clear_memo()  # measure the full three-engine simulation
-        return fig4.run(bench_config)
+        return run_experiment("fig4", bench_config)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     d, b = result.series["DeFrag"], result.series["DDFS-Like"]

@@ -1,13 +1,13 @@
 """Bench: regenerate Fig. 5 (efficiency: DeFrag vs SiLo-like)."""
 
-from repro.experiments import fig5
 from repro.experiments.common import clear_memo
+from repro.experiments.suite import run_experiment
 
 
 def test_bench_fig5(benchmark, bench_config):
     def run():
         clear_memo()
-        return fig5.run(bench_config)
+        return run_experiment("fig5", bench_config)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     kept_defrag = 1 - result.series["DeFrag"][-1]

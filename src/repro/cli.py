@@ -24,47 +24,18 @@ byte-identical to ``--jobs 1`` (see DESIGN.md §9).
 from __future__ import annotations
 
 import argparse
-import importlib
 import logging
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
+from repro.experiments import suite
+from repro.experiments.common import FigureResult
 from repro.experiments.config import SCALE_NAMES, ExperimentConfig
+from repro.experiments.io import save_csv, save_json
 
 #: where ``trace`` drops its metrics snapshot for ``stats --last``
 LAST_STATS_PATH = Path(".repro_stats.json")
-
-# experiment name -> "module:function", resolved on demand so one
-# figure's run doesn't pay for importing every other harness
-_FIGURES: Dict[str, str] = {
-    "fig2": "repro.experiments.fig2:run",
-    "fig3": "repro.experiments.fig3:run",
-    "fig4": "repro.experiments.fig4:run",
-    "fig5": "repro.experiments.fig5:run",
-    "fig6": "repro.experiments.fig6:run",
-    "alpha-sweep": "repro.experiments.ablations:alpha_sweep",
-    "segment-ablation": "repro.experiments.ablations:segment_ablation",
-    "cache-ablation": "repro.experiments.ablations:cache_ablation",
-    "restore-ablation": "repro.experiments.restore_ablation:run",
-    "related-work": "repro.experiments.extensions:related_work_comparison",
-    "gc-study": "repro.experiments.extensions:gc_study",
-    "frontier": "repro.experiments.frontier:run",
-    "tenants": "repro.experiments.tenants:run",
-}
-
-
-def _resolve(name: str) -> Callable[[ExperimentConfig], "FigureResult"]:
-    modname, funcname = _FIGURES[name].split(":")
-    return getattr(importlib.import_module(modname), funcname)
-
-_FLOAT_FMT = {
-    "fig3": "{:.3f}",
-    "fig5": "{:.3f}",
-    "frontier": "{:.2f}",
-    "tenants": "{:.2f}",
-}
-
 
 def _bounded(text: str, kind: type, lo, hi=None):
     """Parse ``text`` as ``kind`` within ``[lo, hi]``: a bad value
@@ -105,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_FIGURES)
+        choices=sorted(suite.EXPERIMENTS)
         + ["all", "report", "bench", "trace", "stats", "dash", "chaos"],
         help="which figure/ablation to regenerate ('all' runs fig2..fig6; "
         "'report' renders everything as one markdown document; 'bench' "
@@ -349,6 +320,31 @@ def _configure_logging(args: argparse.Namespace) -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _print_results(
+    names: List[str],
+    results: Dict[str, FigureResult],
+    errors: Dict[str, str],
+    save: Optional[str],
+) -> int:
+    """Print each experiment's table in its :data:`EXPERIMENTS` format
+    (or its fatal error), save it when ``save`` names a directory, and
+    return the exit code: 1 when any cell or experiment failed."""
+    for name in names:
+        if name in errors:
+            print(f"FAILED {name}: {errors[name]}")
+            print()
+            continue
+        result = results[name]
+        print(result.table(fmt=suite.EXPERIMENTS[name].fmt))
+        print()
+        if save is not None:
+            outdir = Path(save)
+            outdir.mkdir(parents=True, exist_ok=True)
+            save_json(result, outdir / f"{name}.json")
+            save_csv(result, outdir / f"{name}.csv")
+    return 1 if suite.suite_failed(results, errors) else 0
+
+
 def _run_trace(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """``python -m repro trace <fig>``: rerun one figure with the
     observability session on, print its table plus the metrics dump, and
@@ -369,10 +365,10 @@ def _run_trace(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
     if args.target is None:
         parser.error("trace needs a figure, e.g.: trace fig4")
-    if args.target not in _FIGURES:
+    if args.target not in suite.EXPERIMENTS:
         parser.error(
             f"unknown trace target {args.target!r} "
-            f"(choose from {', '.join(sorted(_FIGURES))})"
+            f"(choose from {', '.join(sorted(suite.EXPERIMENTS))})"
         )
     config = _make_config(args)
     manifest = build_manifest(
@@ -394,11 +390,12 @@ def _run_trace(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             if sink is not None:
                 # provenance rides first in the stream
                 obs.events.emit(MANIFEST_EVENT, **manifest.as_dict())
-            result = _resolve(args.target)(config, jobs=args.jobs)
+            results, errors = suite.run_suite(
+                [args.target], config, jobs=args.jobs, timeout_s=args.cell_timeout
+            )
     finally:
         common.clear_memo()
-    print(result.table(fmt=_FLOAT_FMT.get(args.target, "{:.1f}")))
-    print()
+    exit_code = _print_results([args.target], results, errors, args.save)
     print(obs.registry.render())
     LAST_STATS_PATH.write_text(
         json.dumps(
@@ -421,7 +418,7 @@ def _run_trace(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             "(open at https://ui.perfetto.dev)"
         )
     print(f"metrics snapshot saved to {LAST_STATS_PATH} (view: repro stats --last)")
-    return 0
+    return exit_code
 
 
 def _run_stats(args: argparse.Namespace) -> int:
@@ -609,36 +606,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         text = generate_markdown(config, jobs=args.jobs)
         print(text)
         if args.save is not None:
-            from pathlib import Path
-
             outdir = Path(args.save)
             outdir.mkdir(parents=True, exist_ok=True)
             (outdir / "report.md").write_text(text)
         return 0
-    from repro.experiments.suite import ALL_FIGURES, run_suite, suite_failed
-
-    names = list(ALL_FIGURES) if args.experiment == "all" else [args.experiment]
-    results, errors = run_suite(
+    names = list(suite.ALL_FIGURES) if args.experiment == "all" else [args.experiment]
+    results, errors = suite.run_suite(
         names, config, jobs=args.jobs, timeout_s=args.cell_timeout
     )
-    for name in names:
-        if name in errors:
-            print(f"FAILED {name}: {errors[name]}")
-            print()
-            continue
-        result = results[name]
-        print(result.table(fmt=_FLOAT_FMT.get(name, "{:.1f}")))
-        print()
-        if args.save is not None:
-            from pathlib import Path
-
-            from repro.experiments.io import save_csv, save_json
-
-            outdir = Path(args.save)
-            outdir.mkdir(parents=True, exist_ok=True)
-            save_json(result, outdir / f"{name}.json")
-            save_csv(result, outdir / f"{name}.csv")
-    return 1 if suite_failed(results, errors) else 0
+    return _print_results(names, results, errors, args.save)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,4 +1,4 @@
-"""Experiment harnesses: one runner per paper figure, plus ablations.
+"""Experiment harnesses: one module per paper figure, plus ablations.
 
 Every figure in the paper's evaluation has a module here that regenerates
 its series on the simulated substrate:
@@ -19,11 +19,18 @@ its series on the simulated substrate:
   dedup ratio vs ingest rate vs restore seeks by backup age vs
   maintenance cost, across every registered engine.
 
-All runners take an :class:`~repro.experiments.config.ExperimentConfig`
-(scales: ``small`` for tests, ``default`` for the recorded results,
-``large`` for patient runs) and return a
-:class:`~repro.experiments.common.FigureResult` with the same series the
-paper plots.
+Each module exposes a ``cells(config)`` / ``assemble(config, results)``
+pair; :data:`repro.experiments.suite.EXPERIMENTS` names every pair and
+its table format, and
+:func:`~repro.experiments.suite.run_experiment` runs one by name::
+
+    run_experiment("fig4", ExperimentConfig.small(), jobs=2)
+
+Configs are :class:`~repro.experiments.config.ExperimentConfig` (scales:
+``small`` for tests, ``default`` for the recorded results, ``large`` for
+patient runs); results are
+:class:`~repro.experiments.common.FigureResult` objects with the same
+series the paper plots.
 """
 
 from repro.experiments.config import ExperimentConfig

@@ -5,7 +5,8 @@
   The paper fixes α = 0.1 and notes it "can be adjusted and controlled
   to trade off the spatial locality improvement and the sacrificed
   compression ratios"; this quantifies that trade-off.
-* :func:`segment_ablation` — content-defined vs fixed segmenting.
+* ``segment-ablation`` (:func:`segment_cells` / :func:`segment_assemble`)
+  — content-defined vs fixed segmenting.
 * :func:`cache_ablation` — DDFS prefetch-cache capacity vs throughput
   decay (how much RAM merely *hides* de-linearization).
 
@@ -21,6 +22,7 @@ from repro.dedup.pipeline import run_workload
 from repro.api import create_engine, create_reader, create_resources
 from repro.experiments.common import (
     FigureResult,
+    author_jobs,
     cell_values,
     config_fingerprint,
     paper_segmenter,
@@ -29,9 +31,8 @@ from repro.experiments.config import ExperimentConfig
 from repro.metrics.efficiency import cumulative_efficiency
 from repro.metrics.storage import storage_summary
 from repro.metrics.throughput import mean_throughput
-from repro.parallel import CellSpec, GridError, run_grid
+from repro.parallel import CellSpec, run_grid
 from repro.segmenting.segmenter import FixedSegmenter
-from repro.workloads.generators import author_fs_20_full
 
 
 DEFAULT_ALPHAS = (0.0, 0.05, 0.1, 0.2, 0.5)
@@ -39,15 +40,6 @@ DEFAULT_ALPHAS = (0.0, 0.05, 0.1, 0.2, 0.5)
 DEFAULT_CACHE_SIZES = (4, 8, 12, 24, 48)
 
 _NAN = float("nan")
-
-
-def _author_jobs(config: ExperimentConfig):
-    return author_fs_20_full(
-        fs_bytes=config.fs_bytes,
-        seed=config.seed,
-        n_generations=config.n_generations,
-        churn=config.churn_full,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -59,7 +51,7 @@ def alpha_cell(config: ExperimentConfig) -> Dict:
     """Grid cell: DeFrag at one α (the α is baked into ``config``)."""
     res = create_resources(config)
     engine = create_engine("DeFrag", config, res)
-    reports = run_workload(engine, _author_jobs(config), paper_segmenter())
+    reports = run_workload(engine, author_jobs(config), paper_segmenter())
     reader = create_reader(res.store, config)
     return {
         "ingest_mbps": mean_throughput(reports) / 1e6,
@@ -92,9 +84,7 @@ def alpha_assemble(
     alphas: Sequence[float] = DEFAULT_ALPHAS,
 ) -> FigureResult:
     specs = alpha_cells(config, alphas)
-    values, failures = cell_values(specs, results)
-    if not values:
-        raise GridError(f"alpha-sweep: every cell failed: {failures}")
+    values, failures = cell_values("alpha-sweep", specs, results)
     rows = [values.get(spec.key) for spec in specs]
     return FigureResult(
         figure="AblationAlpha",
@@ -139,7 +129,7 @@ def segment_cell(config: ExperimentConfig, kind: str) -> Dict:
     segmenter = paper_segmenter() if kind == "content-defined" else FixedSegmenter()
     res = create_resources(config)
     engine = create_engine("DeFrag", config, res)
-    reports = run_workload(engine, _author_jobs(config), segmenter)
+    reports = run_workload(engine, author_jobs(config), segmenter)
     return {
         "ingest_mbps": mean_throughput(reports) / 1e6,
         "kept_pct": 100.0 * (1.0 - cumulative_efficiency(reports)[-1]),
@@ -162,9 +152,7 @@ def segment_cells(config: ExperimentConfig) -> List[CellSpec]:
 
 def segment_assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
     specs = segment_cells(config)
-    values, failures = cell_values(specs, results)
-    if not values:
-        raise GridError(f"segment-ablation: every cell failed: {failures}")
+    values, failures = cell_values("segment-ablation", specs, results)
     series = {}
     for spec in specs:
         payload = values.get(spec.key)
@@ -188,14 +176,6 @@ def segment_assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
     )
 
 
-def segment_ablation(
-    config: Optional[ExperimentConfig] = None, *, jobs: int = 1
-) -> FigureResult:
-    """Content-defined vs fixed segmenting under DeFrag."""
-    config = config if config is not None else ExperimentConfig.default()
-    return segment_assemble(config, run_grid(segment_cells(config), jobs=jobs))
-
-
 # ----------------------------------------------------------------------
 # prefetch-cache capacity
 # ----------------------------------------------------------------------
@@ -206,7 +186,7 @@ def cache_cell(config: ExperimentConfig) -> Dict:
     ``config.cache_containers``)."""
     res = create_resources(config)
     engine = create_engine("DDFS-Like", config, res)
-    reports = run_workload(engine, _author_jobs(config), paper_segmenter())
+    reports = run_workload(engine, author_jobs(config), paper_segmenter())
     t = [r.throughput / 1e6 for r in reports]
     return {
         "first_mbps": t[0],
@@ -238,9 +218,7 @@ def cache_assemble(
     cache_sizes: Sequence[int] = DEFAULT_CACHE_SIZES,
 ) -> FigureResult:
     specs = cache_cells(config, cache_sizes)
-    values, failures = cell_values(specs, results)
-    if not values:
-        raise GridError(f"cache-ablation: every cell failed: {failures}")
+    values, failures = cell_values("cache-ablation", specs, results)
     rows = [values.get(spec.key) for spec in specs]
     return FigureResult(
         figure="AblationCache",

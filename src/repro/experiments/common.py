@@ -25,10 +25,10 @@ from repro.dedup.pipeline import (
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.efficiency import partial_segment_efficiency
 from repro.metrics.throughput import throughput_series
-from repro.parallel import CellSpec
+from repro.parallel import CellSpec, GridError
 from repro.segmenting.segmenter import ContentDefinedSegmenter
 from repro.workloads.bytegen import group_fs_bytes
-from repro.workloads.generators import group_fs_66
+from repro.workloads.generators import author_fs_20_full, group_fs_66
 
 
 #: Engine display names used across all figures (matching the paper's
@@ -44,6 +44,17 @@ MAINTENANCE_ENGINE_NAMES = ("RevDedup", "Hybrid")
 def paper_segmenter() -> ContentDefinedSegmenter:
     """The paper's segment configuration: 0.5–2 MB content-defined."""
     return ContentDefinedSegmenter()
+
+
+def author_jobs(config: ExperimentConfig):
+    """The author workload's backup jobs: 20 full generations of one
+    user's file system (figs 2 and 6, the ablations, the frontier)."""
+    return author_fs_20_full(
+        fs_bytes=config.fs_bytes,
+        seed=config.seed,
+        n_generations=config.n_generations,
+        churn=config.churn_full,
+    )
 
 
 @dataclass
@@ -236,13 +247,15 @@ def group_cell_spec(config: ExperimentConfig, engine: str) -> CellSpec:
 
 
 def cell_values(
-    specs: Sequence[CellSpec], results: Dict
+    name: str, specs: Sequence[CellSpec], results: Dict
 ) -> Tuple[Dict[Tuple, Dict], List[str]]:
-    """Split grid results for ``specs`` into payloads and failures.
+    """Split grid results for experiment ``name``'s ``specs`` into
+    payloads and failures.
 
     Returns ``(values, failures)``: ``values`` maps cell key -> payload
     for successful cells; ``failures`` holds one human-readable line per
-    failed or missing cell, in spec order.
+    failed or missing cell, in spec order. Raises :class:`GridError`
+    when every cell failed, so there is nothing to assemble.
     """
     values: Dict[Tuple, Dict] = {}
     failures: List[str] = []
@@ -254,4 +267,6 @@ def cell_values(
             failures.append(result.describe_failure())
         else:
             values[spec.key] = result.value
+    if not values:
+        raise GridError(f"{name}: every cell failed: {failures}")
     return values, failures

@@ -21,6 +21,7 @@ from repro.dedup.pipeline import run_workload
 from repro.api import create_engine, create_resources
 from repro.experiments.common import (
     FigureResult,
+    author_jobs,
     cell_values,
     config_fingerprint,
     paper_segmenter,
@@ -29,23 +30,13 @@ from repro.experiments.config import ExperimentConfig
 from repro.metrics.efficiency import cumulative_efficiency
 from repro.metrics.storage import storage_summary
 from repro.metrics.throughput import mean_throughput
-from repro.parallel import CellSpec, GridError, run_grid
+from repro.parallel import CellSpec, run_grid
 from repro.restore.reader import RestoreReader
 from repro.storage.gc import GarbageCollector
-from repro.workloads.generators import author_fs_20_full
 
 DEFAULT_RELATED_ENGINES = ("DDFS-Like", "SiLo-Like", "SparseIndex", "iDedup", "DeFrag")
 
 _NAN = float("nan")
-
-
-def _author_jobs(config: ExperimentConfig):
-    return author_fs_20_full(
-        fs_bytes=config.fs_bytes,
-        seed=config.seed,
-        n_generations=config.n_generations,
-        churn=config.churn_full,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -57,7 +48,7 @@ def related_cell(config: ExperimentConfig, engine: str) -> Dict:
     """Grid cell: one engine's full scorecard on the author workload."""
     res = create_resources(config)
     eng = create_engine(engine, config, res)
-    reports = run_workload(eng, _author_jobs(config), paper_segmenter())
+    reports = run_workload(eng, author_jobs(config), paper_segmenter())
     restore = RestoreReader(res.store).restore(reports[-1].recipe)
     return {
         "row": [
@@ -91,9 +82,7 @@ def related_assemble(
     engines: Sequence[str] = DEFAULT_RELATED_ENGINES,
 ) -> FigureResult:
     specs = related_cells(config, engines)
-    values, failures = cell_values(specs, results)
-    if not values:
-        raise GridError(f"related-work: every cell failed: {failures}")
+    values, failures = cell_values("related-work", specs, results)
     series = {}
     for spec in specs:
         payload = values.get(spec.key)
@@ -139,7 +128,7 @@ def gc_cell(
     pipeline (one live store end to end)."""
     res = create_resources(config)
     engine = create_engine("DeFrag", config, res)
-    reports = run_workload(engine, _author_jobs(config), paper_segmenter())
+    reports = run_workload(engine, author_jobs(config), paper_segmenter())
 
     retained = [r.recipe for r in reports[-retain_last:]]
     reader = RestoreReader(res.store)
@@ -187,9 +176,7 @@ def gc_assemble(
     min_utilization: float = 0.7,
 ) -> FigureResult:
     specs = gc_cells(config, retain_last, min_utilization)
-    values, failures = cell_values(specs, results)
-    if not values:
-        raise GridError(f"gc-study: every cell failed: {failures}")
+    values, failures = cell_values("gc-study", specs, results)
     payload = values[specs[0].key]
     return FigureResult(
         figure="ExtGC",

@@ -15,12 +15,13 @@ Grid decomposition: a single cell (one engine, one workload).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.dedup.pipeline import run_workload
 from repro.api import create_engine, create_resources
 from repro.experiments.common import (
     FigureResult,
+    author_jobs,
     cell_values,
     config_fingerprint,
     paper_segmenter,
@@ -28,8 +29,7 @@ from repro.experiments.common import (
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.fragmentation import locality_series
 from repro.metrics.throughput import throughput_series
-from repro.parallel import CellSpec, GridError, run_grid
-from repro.workloads.generators import author_fs_20_full
+from repro.parallel import CellSpec
 
 
 def author_full_cell(config: ExperimentConfig, engine: str = "DDFS-Like") -> Dict:
@@ -37,12 +37,7 @@ def author_full_cell(config: ExperimentConfig, engine: str = "DDFS-Like") -> Dic
     workload; returns the throughput and locality series Fig. 2 plots."""
     res = create_resources(config)
     eng = create_engine(engine, config, res)
-    jobs = author_fs_20_full(
-        fs_bytes=config.fs_bytes,
-        seed=config.seed,
-        n_generations=config.n_generations,
-        churn=config.churn_full,
-    )
+    jobs = author_jobs(config)
     reports = run_workload(eng, jobs, paper_segmenter())
     return {
         "generations": [r.generation + 1 for r in reports],
@@ -66,9 +61,7 @@ def cells(config: ExperimentConfig) -> List[CellSpec]:
 def assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
     """Rebuild Fig. 2 from its (single) grid cell."""
     specs = cells(config)
-    values, failures = cell_values(specs, results)
-    if not values:
-        raise GridError(f"fig2: every cell failed: {failures}")
+    values, failures = cell_values("fig2", specs, results)
     payload = values[specs[0].key]
     thr = payload["mbps"]
     return FigureResult(
@@ -87,19 +80,3 @@ def assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
         },
         failures=failures,
     )
-
-
-def run(
-    config: Optional[ExperimentConfig] = None, *, jobs: int = 1
-) -> FigureResult:
-    """Regenerate Fig. 2's series."""
-    config = config if config is not None else ExperimentConfig.default()
-    return assemble(config, run_grid(cells(config), jobs=jobs))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -13,7 +13,7 @@ deduplicate against these in a combined ``repro all`` grid.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.experiments.common import (
     MAINTENANCE_ENGINE_NAMES,
@@ -22,7 +22,7 @@ from repro.experiments.common import (
     group_cell_spec,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.parallel import CellSpec, GridError, run_grid
+from repro.parallel import CellSpec
 
 #: the three engines Fig. 4 compares, in series order
 ENGINES = ("DeFrag", "DDFS-Like", "SiLo-Like")
@@ -44,14 +44,11 @@ def cells(config: ExperimentConfig) -> List[CellSpec]:
 def assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
     """Rebuild Fig. 4 from grid cell payloads (failed cells go NaN)."""
     specs = cells(config)
-    values, failures = cell_values(specs, results)
+    values, failures = cell_values("fig4", specs, results)
     by_engine = {
         spec.kwargs["engine"]: values.get(spec.key) for spec in specs
     }
-    ok = {name: v for name, v in by_engine.items() if v is not None}
-    if not ok:
-        raise GridError(f"fig4: every cell failed: {failures}")
-    generations = next(iter(ok.values()))["generations"]
+    generations = next(iter(values.values()))["generations"]
     n = len(generations)
     series = {
         name: (
@@ -92,19 +89,3 @@ def assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
         notes=notes,
         failures=failures,
     )
-
-
-def run(
-    config: Optional[ExperimentConfig] = None, *, jobs: int = 1
-) -> FigureResult:
-    """Regenerate Fig. 4's series (three engines, shared workload)."""
-    config = config if config is not None else ExperimentConfig.default()
-    return assemble(config, run_grid(cells(config), jobs=jobs))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -15,20 +15,20 @@ needs the engine's live store, so it happens inside the cell).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.dedup.pipeline import run_workload, run_workload_with_maintenance
 from repro.api import create_engine, create_reader, create_resources, engine_info
 from repro.experiments.common import (
     MAINTENANCE_ENGINE_NAMES,
     FigureResult,
+    author_jobs,
     cell_values,
     config_fingerprint,
     paper_segmenter,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.parallel import CellSpec, GridError, run_grid
-from repro.workloads.generators import author_fs_20_full
+from repro.parallel import CellSpec
 
 #: the two engines Fig. 6 compares, in series order
 ENGINES = ("DeFrag", "DDFS-Like")
@@ -59,12 +59,7 @@ def restore_cell(config: ExperimentConfig, engine: str) -> Dict:
     config's restore policy / FAA / read-ahead knobs)."""
     res = create_resources(config)
     eng = create_engine(engine, config, res)
-    jobs = author_fs_20_full(
-        fs_bytes=config.fs_bytes,
-        seed=config.seed,
-        n_generations=config.n_generations,
-        churn=config.churn_full,
-    )
+    jobs = author_jobs(config)
     if engine_info(engine).supports_maintenance:
         reports = run_workload_with_maintenance(eng, jobs, paper_segmenter())
     else:
@@ -95,14 +90,11 @@ def cells(config: ExperimentConfig) -> List[CellSpec]:
 def assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
     """Rebuild Fig. 6 from grid cell payloads (failed cells go NaN)."""
     specs = cells(config)
-    values, failures = cell_values(specs, results)
+    values, failures = cell_values("fig6", specs, results)
     by_engine = {
         spec.kwargs["engine"]: values.get(spec.key) for spec in specs
     }
-    ok = {name: v for name, v in by_engine.items() if v is not None}
-    if not ok:
-        raise GridError(f"fig6: every cell failed: {failures}")
-    n = len(next(iter(ok.values()))["rates_mbps"])
+    n = len(next(iter(values.values()))["rates_mbps"])
     nan = [float("nan")] * n
     engines = _engines(config)
     series = {
@@ -163,19 +155,3 @@ def assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
         notes=notes,
         failures=failures,
     )
-
-
-def run(
-    config: Optional[ExperimentConfig] = None, *, jobs: int = 1
-) -> FigureResult:
-    """Regenerate Fig. 6's series."""
-    config = config if config is not None else ExperimentConfig.default()
-    return assemble(config, run_grid(cells(config), jobs=jobs))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

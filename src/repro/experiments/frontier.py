@@ -28,7 +28,7 @@ generation). Both comparisons are printed as notes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.api import create_engine, create_reader, create_resources, engine_info
 from repro.dedup.pipeline import GroundTruth, run_backup
@@ -36,13 +36,13 @@ from repro.experiments.common import (
     ENGINE_NAMES,
     MAINTENANCE_ENGINE_NAMES,
     FigureResult,
+    author_jobs,
     cell_values,
     config_fingerprint,
     paper_segmenter,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.parallel import CellSpec, GridError, run_grid
-from repro.workloads.generators import author_fs_20_full
+from repro.parallel import CellSpec
 
 #: every engine on the frontier, paper legends first
 ENGINES = ENGINE_NAMES + MAINTENANCE_ENGINE_NAMES
@@ -59,15 +59,6 @@ ROWS = (
 )
 
 
-def _author_jobs(config: ExperimentConfig):
-    return author_fs_20_full(
-        fs_bytes=config.fs_bytes,
-        seed=config.seed,
-        n_generations=config.n_generations,
-        churn=config.churn_full,
-    )
-
-
 def frontier_cell(config: ExperimentConfig, engine: str) -> Dict:
     """Grid cell: one engine's full lifecycle — ingest every generation,
     drive the out-of-line maintenance pass after each (no-op for
@@ -82,7 +73,7 @@ def frontier_cell(config: ExperimentConfig, engine: str) -> Dict:
     maint_seconds = 0.0
     maint_containers = 0
     maint_moved = 0
-    for job in _author_jobs(config):
+    for job in author_jobs(config):
         reports.append(run_backup(eng, job, segmenter, truth))
         if maintain:
             m, remapped = eng.end_generation([r.recipe for r in reports])
@@ -134,9 +125,7 @@ def cells(config: ExperimentConfig) -> List[CellSpec]:
 def assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
     """Rebuild the frontier table from grid cell payloads."""
     specs = cells(config)
-    values, failures = cell_values(specs, results)
-    if not values:
-        raise GridError(f"frontier: every cell failed: {failures}")
+    values, failures = cell_values("frontier", specs, results)
     nan = [float("nan")] * len(ROWS)
     series = {}
     for spec in specs:
@@ -167,19 +156,3 @@ def assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
         notes=notes,
         failures=failures,
     )
-
-
-def run(
-    config: Optional[ExperimentConfig] = None, *, jobs: int = 1
-) -> FigureResult:
-    """Produce the placement-policy frontier table."""
-    config = config if config is not None else ExperimentConfig.default()
-    return assemble(config, run_grid(cells(config), jobs=jobs))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -26,20 +26,6 @@ from repro.obs import (
 )
 from repro.parallel import GridError
 
-_FIGS = (
-    ("fig2", "{:.1f}"),
-    ("fig3", "{:.3f}"),
-    ("fig4", "{:.1f}"),
-    ("fig5", "{:.3f}"),
-    ("fig6", "{:.1f}"),
-)
-
-_ABLATIONS = (
-    ("alpha-sweep", "{:.2f}"),
-    ("cache-ablation", "{:.2f}"),
-)
-
-
 def _markdown_table(result: FigureResult, fmt: str) -> str:
     names = list(result.series)
     lines = [
@@ -172,7 +158,6 @@ def _diagnostics_section(registry: MetricsRegistry) -> str:
 def generate_markdown(
     config: Optional[ExperimentConfig] = None,
     *,
-    include_ablations: bool = False,
     jobs: int = 1,
 ) -> str:
     """Run every figure (under an observability session, so the report
@@ -181,7 +166,7 @@ def generate_markdown(
     cells shared between figures record diagnostics exactly once, in
     either venue — so the rendered document is byte-identical for any
     ``jobs``."""
-    from repro.experiments.suite import run_suite
+    from repro.experiments.suite import ALL_FIGURES, EXPERIMENTS, run_suite
 
     config = config if config is not None else ExperimentConfig.default()
     sections: List[str] = [
@@ -195,16 +180,13 @@ def generate_markdown(
         "",
         _provenance_section(config),
     ]
-    entries = _FIGS + (_ABLATIONS if include_ablations else ())
     # drop memoized workload runs so the figures execute (and record
     # diagnostics) under this session; again after, so obs-off callers
     # never reuse anything built during it
     clear_memo()
     try:
         with obs_session(Observability()) as obs:
-            results, errors = run_suite(
-                [name for name, _ in entries], config, jobs=jobs
-            )
+            results, errors = run_suite(list(ALL_FIGURES), config, jobs=jobs)
     finally:
         clear_memo()
     if errors:
@@ -212,13 +194,13 @@ def generate_markdown(
             "report aborted, experiments failed: "
             + "; ".join(f"{k}: {v}" for k, v in errors.items())
         )
-    for name, fmt in entries:
+    for name in ALL_FIGURES:
         result = results[name]
         sections += [
             "",
             f"## {result.figure}: {result.title}",
             "",
-            _markdown_table(result, fmt),
+            _markdown_table(result, EXPERIMENTS[name].fmt),
             "",
         ]
         sections += [f"- **{k}**: {v}" for k, v in result.notes.items()]
@@ -230,12 +212,9 @@ def write_report(
     path,
     config: Optional[ExperimentConfig] = None,
     *,
-    include_ablations: bool = False,
     jobs: int = 1,
 ) -> Path:
     """Generate and write the markdown report; returns the path."""
     path = Path(path)
-    path.write_text(
-        generate_markdown(config, include_ablations=include_ablations, jobs=jobs)
-    )
+    path.write_text(generate_markdown(config, jobs=jobs))
     return path

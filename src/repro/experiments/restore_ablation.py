@@ -18,22 +18,22 @@ that one ingested store.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.api import create_engine, create_resources, engine_info
 from repro.dedup.pipeline import run_workload, run_workload_with_maintenance
 from repro.experiments.common import (
     MAINTENANCE_ENGINE_NAMES,
     FigureResult,
+    author_jobs,
     cell_values,
     config_fingerprint,
     paper_segmenter,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.parallel import CellSpec, GridError, run_grid
+from repro.parallel import CellSpec
 from repro.restore.cache import RESTORE_POLICIES
 from repro.restore.reader import RestoreReader
-from repro.workloads.generators import author_fs_20_full
 
 #: the engines whose layouts the sweep restores from, in series order
 ENGINES = ("DeFrag", "DDFS-Like")
@@ -71,12 +71,7 @@ def restore_sweep_cell(config: ExperimentConfig, engine: str, policy: str) -> Di
     window) combo with the given cache policy."""
     res = create_resources(config)
     eng = create_engine(engine, config, res)
-    jobs = author_fs_20_full(
-        fs_bytes=config.fs_bytes,
-        seed=config.seed,
-        n_generations=config.n_generations,
-        churn=config.churn_full,
-    )
+    jobs = author_jobs(config)
     if engine_info(engine).supports_maintenance:
         reports = run_workload_with_maintenance(eng, jobs, paper_segmenter())
     else:
@@ -122,9 +117,7 @@ def cells(config: ExperimentConfig) -> List[CellSpec]:
 def assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
     """Rebuild the ablation table from grid cell payloads."""
     specs = cells(config)
-    values, failures = cell_values(specs, results)
-    if not values:
-        raise GridError(f"restore-ablation: every cell failed: {failures}")
+    values, failures = cell_values("restore-ablation", specs, results)
     combos = sweep_combos()
     nan_rows = [_NAN] * len(combos)
     series: Dict[str, List[float]] = {}
@@ -161,19 +154,3 @@ def assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
         notes=notes,
         failures=failures,
     )
-
-
-def run(
-    config: Optional[ExperimentConfig] = None, *, jobs: int = 1
-) -> FigureResult:
-    """Run the restore ablation grid."""
-    config = config if config is not None else ExperimentConfig.default()
-    return assemble(config, run_grid(cells(config), jobs=jobs))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -85,6 +85,7 @@ def run_memory_probe(
     base.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
+    resources = None
     try:
         store_config = StoreConfig(
             container_bytes=config.container_bytes,
@@ -169,6 +170,8 @@ def run_memory_probe(
             "peak_rss_mb": round(rss_mb, 1),
         }
     finally:
+        if resources is not None:
+            resources.store.close()
         if tmp is not None:
             tmp.cleanup()
 

@@ -33,7 +33,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["ShardRouter"]
+__all__ = ["ShardRouter", "mix_inplace", "mix_scalar"]
 
 
 def _ring_point(shard: int, replica: int) -> int:
@@ -49,10 +49,9 @@ def _ring_point(shard: int, replica: int) -> int:
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
+def mix_inplace(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer over a uint64 array, in place (numpy wraps
     uint64 array arithmetic modulo 2**64 without a warning)."""
     x ^= x >> _S30
@@ -63,7 +62,9 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _mix_scalar(x: int) -> int:
+def mix_scalar(x: int) -> int:
+    """splitmix64 finalizer of one int, taken modulo 2**64 first (the
+    scalar twin of :func:`mix_inplace`)."""
     x &= 0xFFFFFFFFFFFFFFFF
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
@@ -98,7 +99,7 @@ class ShardRouter:
         """The owning shard of one fingerprint (pure, process-stable)."""
         if self.n_shards == 1:
             return 0
-        key = _mix_scalar(int(fp))
+        key = mix_scalar(int(fp))
         # first ring point at or after the key, wrapping at the top
         i = bisect.bisect_left(self._points_list, key)
         if i == len(self._points_list):
@@ -109,7 +110,7 @@ class ShardRouter:
         """Owning shard of every fingerprint in a batch (vectorized)."""
         if self.n_shards == 1:
             return np.zeros(len(fps), dtype=np.int64)
-        keys = _mix(np.array(fps, dtype=np.uint64))
+        keys = mix_inplace(np.array(fps, dtype=np.uint64))
         return self._owners[np.searchsorted(self._points, keys)]
 
     def partition(

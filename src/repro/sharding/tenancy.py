@@ -23,12 +23,10 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro._util.rng import derive_seed
-from repro.sharding.router import _mix, _mix_scalar
+from repro.sharding.router import mix_inplace, mix_scalar
 from repro.storage.store import ContainerStore, StoreConfig
 
 __all__ = ["TenantNamespace", "TenantStoreSet"]
-
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 class TenantNamespace:
@@ -51,14 +49,14 @@ class TenantNamespace:
         """Namespace one fingerprint (identity when not isolated)."""
         if not self.isolated:
             return int(fp)
-        return _mix_scalar(int(fp) ^ self.salt)
+        return mix_scalar(int(fp) ^ self.salt)
 
     def wrap_many(self, fps) -> np.ndarray:
         """Namespace a fingerprint batch (vectorized)."""
         arr = np.asarray(fps, dtype=np.uint64)
         if not self.isolated:
             return arr
-        return _mix((arr ^ np.uint64(self.salt)) & _U64)
+        return mix_inplace(arr ^ np.uint64(self.salt))
 
 
 class TenantStoreSet:

@@ -236,12 +236,6 @@ class GarbageCollector:
                             new_cid = self.store.append(fp, size)  # charged on seal
                             moved_fp[fp] = new_cid
                             bytes_moved += size
-                            if self.index is not None:
-                                from repro.index.full_index import ChunkLocation
-
-                                old = self.index.peek(fp)
-                                sid = old.sid if old is not None else -1
-                                self.index.update(fp, ChunkLocation(new_cid, sid))
                         else:
                             # a second dead-duplicate copy of a live chunk:
                             # the already-moved copy serves it
@@ -249,6 +243,21 @@ class GarbageCollector:
                         moved[(fp, cid)] = new_cid
                     else:
                         bytes_reclaimed += size
+            if self.index is not None and moved_fp:
+                from repro.index.full_index import ChunkLocation
+
+                # re-point every moved chunk at its new container in one
+                # batch (moved_fp keys are unique, so this is the same
+                # final map and update count as one update per move)
+                fps = list(moved_fp)
+                olds = self.index.probe(fps)(0, len(fps))
+                self.index.update_many(
+                    fps,
+                    [
+                        ChunkLocation(moved_fp[fp], old.sid if old is not None else -1)
+                        for fp, old in zip(fps, olds)
+                    ],
+                )
             self.store.flush()
 
             # a redirect target may itself have been a victim (a canonical

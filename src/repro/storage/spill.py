@@ -118,6 +118,10 @@ class ContainerSpill:
     def cids(self) -> Iterator[int]:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release any OS handle the backend holds (a no-op unless it
+        has one)."""
+
 
 class MemorySpill(ContainerSpill):
     """Dict-backed spill: the in-memory tmpfs shim for tests and chaos.

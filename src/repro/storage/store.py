@@ -323,6 +323,12 @@ class ContainerStore:
         self._seal_open()
         return cid
 
+    def close(self) -> None:
+        """Close the spill backend's file handle, if any (idempotent).
+        Call it before deleting the spill directory."""
+        if self._spill is not None:
+            self._spill.close()
+
     def _seal_open(self) -> None:
         assert self._open is not None
         sealed = self._open.seal()

@@ -1,7 +1,10 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.common import clear_memo
+from repro.experiments.common import FigureResult, clear_memo
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.suite import EXPERIMENTS, run_experiment
+from repro.parallel import CellSpec, GridError, resolve
 
 
 @pytest.fixture(autouse=True)
@@ -285,3 +288,80 @@ class TestMainFailurePaths:
         monkeypatch.setattr(suite, "ALL_FIGURES", ("fig4",))
         assert main(["all", "--scale", "small"]) == 1
         assert "FAILED fig4" in capsys.readouterr().out
+
+
+def _fail_group_cells(monkeypatch, engines):
+    """Make the group-workload cell (figs 4/5) raise for ``engines``
+    (``None``: every engine)."""
+    from repro.experiments import common
+
+    real = common.group_cell
+
+    def injected(config, engine):
+        if engines is None or engine in engines:
+            raise RuntimeError("injected mid-cell failure")
+        return real(config, engine)
+
+    monkeypatch.setattr(common, "group_cell", injected)
+
+
+class TestTraceFailurePaths:
+    """``trace`` prints, saves and exits through the same code as the
+    plain path, so a failure under trace is never reported as success."""
+
+    def test_failed_cell_marks_table_and_exit_nonzero(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        _fail_group_cells(monkeypatch, {"DeFrag"})
+        assert main(["trace", "fig4", "--scale", "small"]) == 1
+        out = capsys.readouterr().out
+        assert "# FAILED cell" in out
+        assert "phase spans" in out  # the metrics dump still follows
+
+    def test_every_cell_failing_reports_experiment_failed(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        _fail_group_cells(monkeypatch, None)
+        assert main(["trace", "fig4", "--scale", "small"]) == 1
+        captured = capsys.readouterr()
+        assert "FAILED fig4" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_run_experiment_raises_when_every_cell_failed(self, monkeypatch):
+        _fail_group_cells(monkeypatch, None)
+        with pytest.raises(GridError, match="fig4: every cell failed"):
+            run_experiment("fig4", ExperimentConfig.small())
+
+
+class TestExperimentTable:
+    def test_every_row_resolves_and_is_a_cli_and_trace_target(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Each row's refs resolve, its cells are cell specs, and its
+        name is an experiment choice and a trace target printed in the
+        row's format."""
+        from repro.experiments import suite
+
+        config = ExperimentConfig.small()
+        parser = build_parser()
+        monkeypatch.chdir(tmp_path)
+        ran = []
+
+        def fake_suite(names, config, **kwargs):
+            ran.extend(names)
+            result = FigureResult("F", "t", "x", [1], {"s": [0.123456]})
+            return {name: result for name in names}, {}
+
+        monkeypatch.setattr(suite, "run_suite", fake_suite)
+        for name, row in EXPERIMENTS.items():
+            specs = resolve(row.cells)(config)
+            assert specs and all(isinstance(spec, CellSpec) for spec in specs)
+            assert callable(resolve(row.assemble))
+            assert parser.parse_args([name]).experiment == name
+            assert main([name, "--scale", "small"]) == 0
+            assert main(["trace", name, "--scale", "small"]) == 0
+            out = capsys.readouterr().out
+            assert out.count(row.fmt.format(0.123456)) == 2
+        assert ran == [name for name in EXPERIMENTS for _ in range(2)]

@@ -8,6 +8,7 @@ from repro._util import MIB
 from repro.cli import build_parser
 from repro.experiments import restore_ablation
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.suite import run_experiment
 from repro.parallel import run_grid
 
 
@@ -19,7 +20,7 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def result(cfg):
-    return restore_ablation.run(cfg)
+    return run_experiment("restore-ablation", cfg)
 
 
 class TestGrid:

@@ -10,14 +10,13 @@ import math
 import pathlib
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.suite import run_suite
+from repro.experiments.suite import run_experiment, run_suite
 from repro.experiments.tenants import (
     POLICIES,
     ROWS,
     TENANTS,
     assemble,
     cells,
-    run,
     tenants_cell,
 )
 from repro.parallel import run_grid
@@ -55,7 +54,7 @@ class TestHPDedupEffect:
         """The acceptance criterion: on the skewed mix, prioritized
         allocation's aggregate inline dedup strictly exceeds the
         polluted global LRU's."""
-        result = run(CONFIG)
+        result = run_experiment("tenants", CONFIG)
         total = len(ROWS) - 1
         prio = result.series["prioritized"][total]
         glob = result.series["global-lru"][total]
@@ -66,13 +65,13 @@ class TestHPDedupEffect:
         """gamma's fingerprints never repeat, so its inline dedup is 0
         under every policy — the effect is pure cache allocation, not
         workload leakage."""
-        result = run(CONFIG)
+        result = run_experiment("tenants", CONFIG)
         gamma = TENANTS.index("gamma")
         for policy in POLICIES:
             assert result.series[policy][gamma] == 0.0
 
     def test_high_locality_tenant_wins_under_prioritization(self):
-        result = run(CONFIG)
+        result = run_experiment("tenants", CONFIG)
         alpha = TENANTS.index("alpha")
         assert (
             result.series["prioritized"][alpha]

@@ -7,7 +7,9 @@ from repro.core.policy import AlwaysRewritePolicy, SPLThresholdPolicy
 from repro.dedup.base import EngineResources
 from repro.dedup.exact import ExactEngine
 from repro.dedup.pipeline import run_backup, run_workload
+from repro.index.full_index import ChunkLocation
 from repro.restore.reader import RestoreReader
+from repro.sharding import ShardedChunkIndex
 from repro.storage.gc import GarbageCollector
 from repro.workloads.generators import BackupJob
 
@@ -23,11 +25,11 @@ def fresh_resources():
     return res
 
 
-def rewriting_run(segmenter, generations=4):
+def rewriting_run(segmenter, generations=4, res=None):
     """DeFrag with AlwaysRewrite: every cross-segment duplicate is stored
     again each generation, so old generations' copies become garbage as
     soon as their recipes expire."""
-    res = fresh_resources()
+    res = res if res is not None else fresh_resources()
     eng = DeFragEngine(
         res, policy=AlwaysRewritePolicy(), bloom_capacity=100_000, cache_containers=8
     )
@@ -96,6 +98,34 @@ class TestCollect:
             loc = res.index.peek(int(fp))
             assert loc is not None
             assert res.store.has(loc.cid)
+
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_moved_chunks_repointed_with_their_sid(self, segmenter, n_shards):
+        """Every moved chunk maps to (its new container, the sid it had
+        before the pass), and the index counts one update per move."""
+        base = fresh_resources()
+        index = ShardedChunkIndex.create(base.disk, n_shards=n_shards, expected_entries=100_000)
+        res, eng, reports = rewriting_run(
+            segmenter, res=EngineResources(disk=base.disk, store=base.store, index=index)
+        )
+        before = {int(fp): index.peek(int(fp)) for fp in reports[-1].recipe.fingerprints}
+        old_cids = set(res.store.cids())
+        updates = index.stats.updates
+        gc = GarbageCollector(res.store, index=index)
+        report, _ = gc.collect([reports[-1].recipe], min_utilization=0.9)
+        # the containers the pass sealed hold exactly the moved chunks
+        moved = {}
+        moved_bytes = 0
+        for cid in sorted(set(res.store.cids()) - old_cids):
+            sealed = res.store.get(cid)
+            for fp in sealed.fingerprints.tolist():
+                assert fp not in moved
+                moved[fp] = cid
+            moved_bytes += int(sealed.sizes.sum())
+        assert moved and moved_bytes == report.bytes_moved
+        for fp, cid in moved.items():
+            assert index.peek(fp) == ChunkLocation(cid, before[fp].sid)
+        assert index.stats.updates - updates == len(moved)
 
     def test_noop_when_utilization_high(self, segmenter):
         """Exact dedup without rewrites: nothing to collect."""

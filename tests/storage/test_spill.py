@@ -250,6 +250,18 @@ class TestPackSpill:
         gc.collect()
         assert open_handles(pack) == 0
 
+    def test_store_close_closes_the_pack(self, tmp_path):
+        """A caller that deletes the spill directory after a run closes
+        the store first, so no open pack is deleted under it."""
+        store = make_store(resident=1, spill_dir=str(tmp_path))
+        ingest(store, n_chunks=40)
+        pack = pathlib.Path(store.spill_path) / PackSpill.NAME
+        assert open_handles(pack) == 1
+        store.close()
+        assert open_handles(pack) == 0
+        store.close()  # idempotent
+        make_store(resident=1).close()  # the in-memory shim: a no-op
+
 
 class TestConfigValidation:
     def test_spill_dir_requires_budget(self, tmp_path):
